@@ -8,9 +8,13 @@ with an independent brute-force verifier at desk scale:
   the a_ii, enumerated literally over (q-1)^6;
 * the parametrized enumeration, which builds every matrix from the
   tuples in S x (x, y) and deduplicates by a packed 9-entry key;
-* the exhaustive matrix census, which scans all (q-1)^9 nowhere-zero
+* the exhaustive matrix census, which judges all (q-1)^9 nowhere-zero
   3x3 matrices and counts the semi-involutory MDS (or involutory MDS)
-  ones with no reference to the construction.
+  ones with no reference to the construction.  It fixes the entries in
+  stages (SI_MDS: the six off-diagonal entries, then a11, a22, a33;
+  INV_MDS: row 0 and column 0, then a22 and a32, then a23, then a33)
+  and tests each condition at the first stage where every entry it
+  reads is known, so the candidates a test rejects are never expanded.
 
 Bulk work runs on numpy lookup tables in fixed-size chunks; work can be
 partitioned across processes by contiguous index ranges, and results
@@ -21,13 +25,13 @@ by union).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from ._tables import inv_table, mul_table
+from ._tables import inv_table, mul_table, nonzero_grid
 from .errors import BudgetError, InternalMismatchError
 from .field import GF
 from .matrix import Matrix
@@ -86,12 +90,28 @@ def _ranges(total: int, parts: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _run_partitioned(worker, args, total: int, jobs: int) -> list:
-    spans = _ranges(total, jobs)
-    if jobs <= 1 or len(spans) <= 1:
-        return [worker((*args, lo, hi)) for lo, hi in spans]
+def _run_partitioned(worker, args, total: int, jobs: int, parts: int = 1,
+                     progress=None) -> list:
+    """Run `worker((*args, lo, hi))` over at least `parts` contiguous
+    spans of range(total), in `jobs` processes when jobs > 1.  Results
+    come back in completion order; `progress(fraction)` is called as
+    each span finishes."""
+    tasks = [(*args, lo, hi) for lo, hi in _ranges(total, max(jobs, parts))]
+    if jobs <= 1 or len(tasks) <= 1:
+        return _reported(map(worker, tasks), len(tasks), progress)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, [(*args, lo, hi) for lo, hi in spans]))
+        futures = [pool.submit(worker, task) for task in tasks]
+        return _reported((f.result() for f in as_completed(futures)),
+                         len(tasks), progress)
+
+
+def _reported(results, n: int, progress) -> list:
+    done = []
+    for result in results:
+        done.append(result)
+        if progress is not None:
+            progress(len(done) / n)
+    return done
 
 
 # -- the 6-tuple sets ---------------------------------------------------
@@ -207,40 +227,108 @@ def _si_nowhere_zero_mask(mul, e) -> np.ndarray:
 
 
 # -- exhaustive matrix census -------------------------------------------
+#
+# Entry k of a candidate is a_{i+1, j+1} with k = 3 i + j.  A scan is a
+# list of stages; each stage adds some entries and then applies tests
+# that read only entries known by that stage.  Candidates live in
+# dicts keyed by entry index, so a test that reads an entry not yet
+# known raises KeyError instead of reading garbage.
+
+def _nonzero(*values) -> np.ndarray:
+    mask = values[0] != 0
+    for v in values[1:]:
+        mask &= v != 0
+    return mask
+
+
+def _square_entry(mul, e, i: int, j: int) -> np.ndarray:
+    """Entry (i, j) of A^2: row i of A times column j of A."""
+    return (mul[e[3 * i], e[j]] ^ mul[e[3 * i + 1], e[3 + j]]
+            ^ mul[e[3 * i + 2], e[6 + j]])
+
+
+def _rest_of_identity(mul, e) -> np.ndarray:
+    """The six entries of A^2 = I that no earlier INV_MDS stage tests."""
+    ok = np.ones(len(e[0]), dtype=bool)
+    for i, j in ((0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)):
+        ok &= _square_entry(mul, e, i, j) == int(i == j)
+    return ok
+
+
+# (entries added, tests applied in order once they are known).  Every
+# SI_MDS candidate still meets the cross-product equality and all nine
+# 2x2 minors of `_mds_mask` before the unchanged full-matrix kernels; the
+# early tests only drop candidates sooner.  Every INV_MDS candidate still
+# meets all nine entries of A^2 = I and `_mds_mask`.
+_STAGES = {
+    "SI_MDS": (
+        ((1, 2, 3, 5, 6, 7),
+         (lambda mul, e: (mul[mul[e[1], e[5]], e[6]]
+                          == mul[mul[e[2], e[3]], e[7]]),)),
+        ((0,), (lambda mul, e: _nonzero(mul[e[0], e[5]] ^ mul[e[2], e[3]],
+                                        mul[e[0], e[7]] ^ mul[e[1], e[6]]),)),
+        ((4,), (lambda mul, e: _nonzero(mul[e[1], e[5]] ^ mul[e[2], e[4]],
+                                        mul[e[3], e[7]] ^ mul[e[4], e[6]]),)),
+        ((8,), (lambda mul, e: _nonzero(mul[e[1], e[8]] ^ mul[e[2], e[7]],
+                                        mul[e[3], e[8]] ^ mul[e[5], e[6]]),
+                _si_nowhere_zero_mask, _mds_mask)),
+    ),
+    "INV_MDS": (
+        ((0, 1, 2, 3, 6), (lambda mul, e: _square_entry(mul, e, 0, 0) == 1,)),
+        ((4, 7), (lambda mul, e: _square_entry(mul, e, 0, 1) == 0,)),
+        ((5,), (lambda mul, e: _square_entry(mul, e, 1, 0) == 0,)),
+        ((8,), (_rest_of_identity, _mds_mask)),
+    ),
+}
+
+# The largest q each target is scanned at.  At q = 16 the SI_MDS stages
+# send 2.2e9 candidates to the final stage (4.2e6 at q = 8), the INV_MDS
+# stages 1.0e7.
+_SCAN_MAX_Q = {"SI_MDS": 8, "INV_MDS": 16}
+
+# Spans of the first stage per scan, so that a one-process scan still
+# reports progress.
+_SCAN_SPANS = 8
+
+
+def _staged_count(mul, q: int, stages, lo: int, hi: int) -> int:
+    """Count the candidates passing every stage's tests, over the rows
+    [lo, hi) of the first stage's entries (all in F_q^*, digit order).
+    Each later stage crosses the survivors with every non-zero value of
+    its entries, depth-first, in blocks of at most `_CHUNK` rows."""
+    grids = [nonzero_grid(q, len(entries)) for entries, _ in stages[1:]]
+    first = stages[0][0]
+    count = 0
+    for start in range(lo, hi, _CHUNK):
+        cols = _digits(start, min(start + _CHUNK, hi), len(first), q - 1)
+        count += _descend(mul, stages, grids, 0, dict(zip(first, cols)))
+    return count
+
+
+def _descend(mul, stages, grids, k: int, e: dict) -> int:
+    for test in stages[k][1]:
+        keep = np.flatnonzero(test(mul, e))
+        e = {pos: col[keep] for pos, col in e.items()}
+    n = len(keep)
+    if k + 1 == len(stages):
+        return n
+    grid = grids[k]
+    width = len(grid[0])
+    step = max(1, _CHUNK // width)
+    count = 0
+    for start in range(0, n, step):
+        block = {pos: np.repeat(col[start:start + step], width)
+                 for pos, col in e.items()}
+        reps = min(step, n - start)
+        block.update(zip(stages[k + 1][0], (np.tile(g, reps) for g in grid)))
+        count += _descend(mul, stages, grids, k + 1, block)
+    return count
+
 
 def _matrix_census_worker(args) -> int:
     field_dict, target, lo, hi = args
     gf = GF.from_dict(field_dict)
-    mul = mul_table(gf)
-    base = gf.q - 1
-    count = 0
-    for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
-        e = _digits(start, stop, 9, base)
-        if target == "SI_MDS":
-            keep = np.flatnonzero(mul[mul[e[1], e[5]], e[6]] == mul[mul[e[2], e[3]], e[7]])
-            e = [col[keep] for col in e]
-            keep = np.flatnonzero(_si_nowhere_zero_mask(mul, e))
-            e = [col[keep] for col in e]
-            count += int(_mds_mask(mul, e).sum())
-        else:
-            sq00 = mul[e[0], e[0]] ^ mul[e[1], e[3]] ^ mul[e[2], e[6]]
-            keep = np.flatnonzero(sq00 == 1)
-            e = [col[keep] for col in e]
-            sq01 = mul[e[0], e[1]] ^ mul[e[1], e[4]] ^ mul[e[2], e[7]]
-            keep = np.flatnonzero(sq01 == 0)
-            e = [col[keep] for col in e]
-            ok = (mul[e[0], e[2]] ^ mul[e[1], e[5]] ^ mul[e[2], e[8]]) == 0
-            ok &= (mul[e[3], e[0]] ^ mul[e[4], e[3]] ^ mul[e[5], e[6]]) == 0
-            ok &= (mul[e[3], e[1]] ^ mul[e[4], e[4]] ^ mul[e[5], e[7]]) == 1
-            ok &= (mul[e[3], e[2]] ^ mul[e[4], e[5]] ^ mul[e[5], e[8]]) == 0
-            ok &= (mul[e[6], e[0]] ^ mul[e[7], e[3]] ^ mul[e[8], e[6]]) == 0
-            ok &= (mul[e[6], e[1]] ^ mul[e[7], e[4]] ^ mul[e[8], e[7]]) == 0
-            ok &= (mul[e[6], e[2]] ^ mul[e[7], e[5]] ^ mul[e[8], e[8]]) == 1
-            keep = np.flatnonzero(ok)
-            e = [col[keep] for col in e]
-            count += int(_mds_mask(mul, e).sum())
-    return count
+    return _staged_count(mul_table(gf), gf.q, _STAGES[target], lo, hi)
 
 
 def exhaustive_matrix_census(gf: GF, target: str, jobs: int = 1,
@@ -248,23 +336,17 @@ def exhaustive_matrix_census(gf: GF, target: str, jobs: int = 1,
     """Scan every nowhere-zero 3x3 matrix over GF(2^m) and count the
     semi-involutory MDS (target "SI_MDS") or involutory MDS (target
     "INV_MDS") ones.  Matrices with a zero entry cannot be MDS, so the
-    scan covers (q-1)^9 candidates; q = 16 (15^9 ~ 3.8e10) is rejected
-    outright as beyond desk scale."""
-    if target not in ("SI_MDS", "INV_MDS"):
+    scan covers (q-1)^9 candidates, in stages that test each condition
+    as soon as the entries it reads are known.  SI_MDS is scanned up to
+    q = 8 and INV_MDS up to q = 16; larger q raises BudgetError.
+    `progress(fraction)` is called as each span of the scan finishes."""
+    if target not in _STAGES:
         raise ValueError("target must be SI_MDS or INV_MDS")
-    _require_char2_desk(gf, max_q=8)
-    total = (gf.q - 1) ** 9
-    spans = _ranges(total, jobs if jobs > 1 else max(1, total // (8 * _CHUNK)))
-    if jobs > 1:
-        counts = _run_partitioned(_matrix_census_worker, (gf.to_dict(), target),
-                                  total, jobs)
-        return sum(counts)
-    count = 0
-    for i, (lo, hi) in enumerate(spans):
-        count += _matrix_census_worker((gf.to_dict(), target, lo, hi))
-        if progress is not None:
-            progress((i + 1) / len(spans))
-    return count
+    _require_char2_desk(gf, max_q=_SCAN_MAX_Q[target])
+    stages = _STAGES[target]
+    total = (gf.q - 1) ** len(stages[0][0])
+    return sum(_run_partitioned(_matrix_census_worker, (gf.to_dict(), target),
+                                total, jobs, parts=_SCAN_SPANS, progress=progress))
 
 
 # -- parametrized enumeration -------------------------------------------

@@ -79,6 +79,10 @@ class GF:
 
     def __init__(self, p: int, m: int = 1, poly: int | None = None,
                  use_tables: bool | None = None):
+        # before the trial division in _is_prime and p ** m, whose cost
+        # grows with p and m
+        if p > 1 << 16 or m > 16:
+            raise ValueError(f"field size {p}^{m} exceeds the 2^16 cap")
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if m < 1:

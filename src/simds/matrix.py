@@ -217,6 +217,9 @@ class Matrix:
     def from_dict(cls, d: dict) -> "Matrix":
         gf = GF.from_dict(d)
         m = cls(gf, d["rows"])
+        # json loads true/false as bool, an int subclass GF.validate accepts
+        if any(isinstance(v, bool) for row in m.rows for v in row):
+            raise ValueError("matrix entries must be integers, not booleans")
         if "n" in d and int(d["n"]) != m.n:
             raise ValueError("declared n does not match the row grid")
         return m

@@ -1,12 +1,16 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from simds import (GF, BudgetError, brute_force_S, distinct_diag_inner_count,
                    enumerate_si_mds, enumeration_stats,
                    exhaustive_matrix_census, formula_count, run_census,
                    sweep_parameter_space)
-from simds.census import CSV_HEADER, SET_NAMES
+from simds import census
+from simds._tables import mul_table
+from simds.census import (CSV_HEADER, SET_NAMES, _digits, _mds_mask,
+                          _pack_keys)
 
 
 def tuple_set_by_loops(gf, subset):
@@ -83,6 +87,66 @@ def test_jobs_do_not_change_counts(gf8b):
     g4 = GF(2, 2, 0b111)
     assert (exhaustive_matrix_census(g4, "SI_MDS", jobs=1)
             == exhaustive_matrix_census(g4, "SI_MDS", jobs=2) == 0)
+    for target, want in (("SI_MDS", 403368), ("INV_MDS", 1176)):
+        assert (exhaustive_matrix_census(gf8b, target, jobs=1)
+                == exhaustive_matrix_census(gf8b, target, jobs=3) == want)
+
+
+@pytest.mark.parametrize("target", ["SI_MDS", "INV_MDS"])
+def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
+    """With tests that keep every row, a target's stages reach each of
+    the 3^9 nowhere-zero matrices over GF(4) exactly once, in blocks of
+    at most _CHUNK rows."""
+    monkeypatch.setattr(census, "_CHUNK", 100)
+    sizes, keys = [], []
+
+    def keep_all(mul, e):
+        sizes.append(len(next(iter(e.values()))))
+        return np.ones(sizes[-1], dtype=bool)
+
+    def record(mul, e):
+        cols = [e[k] for k in range(9)]
+        assert all((col != 0).all() for col in cols)
+        keys.append(_pack_keys(cols, gf4.m))
+        return keep_all(mul, e)
+
+    stages = [(entries, (keep_all,)) for entries, _ in census._STAGES[target]]
+    stages[-1] = (stages[-1][0], (record,))
+    first = (gf4.q - 1) ** len(stages[0][0])
+    visited = census._staged_count(mul_table(gf4), gf4.q, stages, 0, first)
+    assert visited == len(np.unique(np.concatenate(keys))) == 3 ** 9
+    assert max(sizes) <= 100
+
+
+def _inv_mds_by_flat_scan(gf):
+    """Reference: all (q-1)^9 nowhere-zero matrices in digit order, each
+    entry of A^2 compared with I, then the MDS mask."""
+    mul = mul_table(gf)
+    total = (gf.q - 1) ** 9
+    count = 0
+    for start in range(0, total, 1 << 20):
+        e = _digits(start, min(start + (1 << 20), total), 9, gf.q - 1)
+        for i, j in itertools.product(range(3), repeat=2):
+            sq = (mul[e[3 * i], e[j]] ^ mul[e[3 * i + 1], e[3 + j]]
+                  ^ mul[e[3 * i + 2], e[6 + j]])
+            keep = np.flatnonzero(sq == (1 if i == j else 0))
+            e = [col[keep] for col in e]
+        count += int(_mds_mask(mul, e).sum())
+    return count
+
+
+def test_staged_inv_mds_matches_flat_scan(gf4, gf8, gf8b):
+    for gf in (gf4, gf8, gf8b):
+        assert (exhaustive_matrix_census(gf, "INV_MDS")
+                == _inv_mds_by_flat_scan(gf) == formula_count("INV_MDS", gf.m))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_progress(gf8b, jobs):
+    seen = []
+    assert exhaustive_matrix_census(gf8b, "INV_MDS", jobs=jobs,
+                                    progress=seen.append) == 1176
+    assert seen == sorted(seen) and seen[-1] == 1.0
 
 
 def test_distinct_diag_inner_identity_gf8(gf8b):
@@ -130,7 +194,7 @@ def test_budget_policies(gf16a):
     with pytest.raises(BudgetError):
         exhaustive_matrix_census(gf16a, "SI_MDS")
     with pytest.raises(BudgetError):
-        exhaustive_matrix_census(gf16a, "INV_MDS")
+        exhaustive_matrix_census(GF(2, 5, 0b100101), "INV_MDS")
     with pytest.raises(BudgetError):
         sweep_parameter_space(gf16a)
     with pytest.raises(ValueError):
@@ -158,7 +222,7 @@ def test_run_census_formula_only(gf16a):
 
 
 def test_run_census_budget_noted(gf16a):
-    reports = run_census(gf16a, sets=("INV_MDS",))
+    reports = run_census(gf16a, sets=("SI_MDS",), exhaustive=True)
     (r,) = reports
     assert r.brute_force_value is None and r.match is None
     assert r.note and "desk scale" in r.note

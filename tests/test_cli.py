@@ -51,6 +51,15 @@ def test_check_parse_error_exit_2(capsys):
     assert code == 2  # no default modulus
 
 
+def test_check_out_of_domain_input_exit_2(capsys):
+    code, _, err = run(capsys, "check", "--json",
+                       '{"p":1000000000000000003,"m":1,"n":2,"rows":[[1,0],[0,1]]}')
+    assert code == 2 and "cap" in err
+    code, _, err = run(capsys, "check", "--json",
+                       '{"p":2,"m":3,"poly":11,"n":2,"rows":[[true,false],[false,true]]}')
+    assert code == 2 and "boolean" in err
+
+
 def test_build_gf16_example(capsys):
     code, out, _ = run(capsys, "build", "--json", PARAMS16)
     rep = json.loads(out)
@@ -158,6 +167,14 @@ def test_count_deterministic_across_jobs(capsys):
                      "--set", "S,S1", "--format", "csv", "--jobs", "2")
     strip = lambda s: [",".join(line.split(",")[:5]) for line in s.splitlines()]
     assert strip(out1) == strip(out2)
+
+
+def test_count_progress_with_jobs(capsys):
+    code, _, err = run(capsys, "count", "--m", "3", "--poly", "11",
+                       "--set", "INV_MDS", "--exhaustive", "--jobs", "2",
+                       "--progress")
+    assert code == 0
+    assert err.splitlines()[-1] == "progress 100%"
 
 
 def test_count_repeat_runs_identical(capsys):

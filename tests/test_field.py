@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from simds import GF, validate_modulus
@@ -131,6 +133,10 @@ def test_bad_construction():
         GF(3, 2, None)      # odd-characteristic extension
     with pytest.raises(ValueError):
         GF(2, 17, (1 << 17) | 0b11)  # beyond the size cap
+    t0 = time.monotonic()
+    with pytest.raises(ValueError):
+        GF(1000000000000000003)     # a prime far beyond the cap
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_field_axioms_exhaustive(small_field):
