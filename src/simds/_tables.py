@@ -1,64 +1,65 @@
-"""Cached numpy lookup tables for bulk field arithmetic.
+"""Numpy lookup tables and digit grids for bulk field arithmetic.
 
-Used by the exhaustive scans: a q x q multiplication table plus an
-inverse table turn field arithmetic over arrays into fancy indexing.
-Only characteristic 2 is supported here (addition is XOR); the index
-arithmetic stays inside uint8 because q <= 16 keeps a*q+b <= 255.
+The bulk kernels in `census` and `si` turn field arithmetic over arrays
+into fancy indexing.  `mul_table` and `inv_table` are the field's own
+product and inverse tables (built by `GF` for q <= TABLE_MAX_Q) as
+read-only uint8 arrays; `bulk_ops` wraps them as the callables
+mul(a, b) and inv(a) that the construction formulas are written over.
+Only characteristic 2 is supported here (addition is XOR).
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-from .field import GF
-
-_MUL: dict[GF, np.ndarray] = {}
-_INV: dict[GF, np.ndarray] = {}
-_GRIDS: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+from .field import GF, TABLE_MAX_Q
 
 
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
+
+def _require_tables(gf: GF) -> None:
+    if gf.p != 2 or gf._mul_table is None:
+        raise ValueError(f"bulk tables exist for characteristic 2 and "
+                         f"q <= {TABLE_MAX_Q} only, not {gf!r}")
+
+
+@cache
 def mul_table(gf: GF) -> np.ndarray:
     """(q, q) uint8 table with mul_table[a, b] = a * b."""
-    t = _MUL.get(gf)
-    if t is None:
-        if gf.p != 2:
-            raise ValueError("bulk tables are built for characteristic 2 only")
-        q = gf.q
-        t = np.array([[gf.mul(a, b) for b in range(q)] for a in range(q)],
-                     dtype=np.uint8)
-        t.setflags(write=False)
-        _MUL[gf] = t
-    return t
+    _require_tables(gf)
+    return _frozen(np.array(gf._mul_table, dtype=np.uint8).reshape(gf.q, gf.q))
 
 
+@cache
 def inv_table(gf: GF) -> np.ndarray:
     """(q,) uint8 table of inverses; index 0 holds a 0 sentinel."""
-    t = _INV.get(gf)
-    if t is None:
-        if gf.p != 2:
-            raise ValueError("bulk tables are built for characteristic 2 only")
-        t = np.array([0] + [gf.inv(a) for a in range(1, gf.q)], dtype=np.uint8)
-        t.setflags(write=False)
-        _INV[gf] = t
-    return t
+    _require_tables(gf)
+    return _frozen(np.array(gf._inv_table, dtype=np.uint8))
 
 
+def bulk_ops(gf: GF):
+    """(mul, inv): field multiplication and inversion over arrays of
+    elements, by lookup in `mul_table` and `inv_table`."""
+    mul, inv = mul_table(gf), inv_table(gf)
+    return (lambda a, b: mul[a, b]), inv.__getitem__
+
+
+def _digits(start: int, stop: int, ndigits: int, base: int) -> list[np.ndarray]:
+    """Columns of the base-(q-1) digit expansion of [start, stop),
+    shifted to 1..q-1.  Digit 0 varies slowest."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    return [((idx // base ** (ndigits - 1 - k)) % base + 1).astype(np.uint8)
+            for k in range(ndigits)]
+
+
+@cache
 def nonzero_grid(q: int, n: int) -> tuple[np.ndarray, ...]:
-    """n coordinate arrays enumerating (F_q^*)^n in lexicographic order.
-
-    Column 0 varies slowest, so flat index i corresponds to the i-th
-    tuple in ascending lexicographic order of (d_0, ..., d_{n-1}).
-    """
-    key = (q, n)
-    grids = _GRIDS.get(key)
-    if grids is None:
-        base = q - 1
-        idx = np.arange(base ** n, dtype=np.int64)
-        cols = []
-        for k in range(n):
-            cols.append(((idx // base ** (n - 1 - k)) % base + 1).astype(np.uint8))
-        grids = tuple(cols)
-        for g in grids:
-            g.setflags(write=False)
-        _GRIDS[key] = grids
-    return grids
+    """n read-only coordinate arrays enumerating (F_q^*)^n in
+    lexicographic order: flat index i is the i-th tuple, column 0
+    varying slowest."""
+    return tuple(_frozen(col) for col in _digits(0, (q - 1) ** n, n, q - 1))

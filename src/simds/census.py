@@ -19,7 +19,11 @@ with an independent brute-force verifier at desk scale:
 Bulk work runs on numpy lookup tables in fixed-size chunks; work can be
 partitioned across processes by contiguous index ranges, and results
 are independent of the partitioning (counts merge by addition, key sets
-by union).
+by union).  The tuple sets, the parametrized enumeration and the
+parameter sweep take the decisive sums and the matrix entries from
+`construct.decisive_sums` and `construct.construction_entries`; the
+exhaustive matrix census uses neither, nor `si_check_3x3`.  All 2x2
+minors and 3x3 determinants over arrays come from `_minor` and `_det3`.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from itertools import product
 
 import numpy as np
 
-from ._tables import inv_table, mul_table, nonzero_grid
+from ._tables import _digits, bulk_ops, nonzero_grid
+from .construct import construction_entries, decisive_sums
 from .errors import BudgetError, InternalMismatchError
 from .field import GF
 from .matrix import Matrix
@@ -76,14 +81,6 @@ def _require_char2_desk(gf: GF, max_q: int = 16) -> None:
         raise BudgetError(f"q = {gf.q} is beyond desk scale for this path")
 
 
-def _digits(start: int, stop: int, ndigits: int, base: int) -> list[np.ndarray]:
-    """Columns of the base-(q-1) digit expansion of [start, stop),
-    shifted to 1..q-1.  Digit 0 varies slowest."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    return [((idx // base ** (ndigits - 1 - k)) % base + 1).astype(np.uint8)
-            for k in range(ndigits)]
-
-
 def _ranges(total: int, parts: int):
     parts = max(1, min(parts, total))
     step = -(-total // parts)
@@ -116,16 +113,9 @@ def _reported(results, n: int, progress) -> list:
 
 # -- the 6-tuple sets ---------------------------------------------------
 
-def _tuple_set_masks(gf: GF, cols: list[np.ndarray], subset: str) -> np.ndarray:
-    mul = mul_table(gf)
-    a11, a22, a33, d1, d2, d3 = cols
-    t1 = mul[a11, d1]
-    t2 = mul[a22, d2]
-    t3 = mul[a33, d3]
-    s12 = t1 ^ t2
-    s13 = t1 ^ t3
-    s23 = t2 ^ t3
-    mask = (s12 != 0) & (s13 != 0) & (s23 != 0) & ((s12 ^ t3) != 0)
+def _tuple_set_masks(mul, cols: list[np.ndarray], subset: str) -> np.ndarray:
+    a11, a22, a33 = cols[:3]
+    mask = _nonzero(*decisive_sums(mul, *cols))
     if subset == "S":
         return mask
     if subset == "S1":
@@ -141,16 +131,19 @@ def _tuple_set_masks(gf: GF, cols: list[np.ndarray], subset: str) -> np.ndarray:
     raise ValueError(f"unknown tuple subset {subset!r}")
 
 
+def _tuple_set_chunks(gf: GF, subset: str, lo: int, hi: int):
+    """(columns, mask of the named set) for each chunk of the 6-tuples
+    [lo, hi) in digit order."""
+    mul, _ = bulk_ops(gf)
+    for start in range(lo, hi, _CHUNK):
+        cols = _digits(start, min(start + _CHUNK, hi), 6, gf.q - 1)
+        yield cols, _tuple_set_masks(mul, cols, subset)
+
+
 def _count_tuples_worker(args) -> int:
     field_dict, subset, lo, hi = args
-    gf = GF.from_dict(field_dict)
-    base = gf.q - 1
-    count = 0
-    for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
-        cols = _digits(start, stop, 6, base)
-        count += int(_tuple_set_masks(gf, cols, subset).sum())
-    return count
+    return sum(int(mask.sum()) for _, mask in
+               _tuple_set_chunks(GF.from_dict(field_dict), subset, lo, hi))
 
 
 def brute_force_S(gf: GF, subset: str = "S", jobs: int = 1) -> int:
@@ -170,69 +163,16 @@ def distinct_diag_inner_count(gf: GF, a11: int, a22: int, a33: int) -> int:
     for d1, d2, d3 in product(gf.elements(True), repeat=3):
         if d1 == d2 or d1 == d3 or d2 == d3:
             continue
-        t1 = gf.mul(a11, d1)
-        t2 = gf.mul(a22, d2)
-        t3 = gf.mul(a33, d3)
-        if 0 in (t1 ^ t2, t1 ^ t3, t2 ^ t3, t1 ^ t2 ^ t3):
+        if 0 in decisive_sums(gf.mul, a11, a22, a33, d1, d2, d3):
             continue
         count += 1
     return count
 
 
 # -- shared 3x3 condition kernels --------------------------------------
-
-def _minors_and_det(mul, e):
-    m12_12 = mul[e[4], e[8]] ^ mul[e[5], e[7]]
-    m12_02 = mul[e[3], e[8]] ^ mul[e[5], e[6]]
-    m12_01 = mul[e[3], e[7]] ^ mul[e[4], e[6]]
-    minors = (
-        mul[e[0], e[4]] ^ mul[e[1], e[3]],
-        mul[e[0], e[5]] ^ mul[e[2], e[3]],
-        mul[e[1], e[5]] ^ mul[e[2], e[4]],
-        mul[e[0], e[7]] ^ mul[e[1], e[6]],
-        mul[e[0], e[8]] ^ mul[e[2], e[6]],
-        mul[e[1], e[8]] ^ mul[e[2], e[7]],
-        m12_01, m12_02, m12_12,
-    )
-    det = mul[e[0], m12_12] ^ mul[e[1], m12_02] ^ mul[e[2], m12_01]
-    return minors, det
-
-
-def _mds_mask(mul, e) -> np.ndarray:
-    minors, det = _minors_and_det(mul, e)
-    mask = det != 0
-    for mn in minors:
-        mask &= mn != 0
-    return mask
-
-
-def _si_nowhere_zero_mask(mul, e) -> np.ndarray:
-    """Cross-product equality, vanishing product-matrix determinant and
-    non-vanishing determinant, for arrays of nowhere-zero entries."""
-    cross = mul[mul[e[1], e[5]], e[6]] == mul[mul[e[2], e[3]], e[7]]
-    x00 = mul[e[0], e[3]]
-    x01 = mul[e[3], e[4]]
-    x02 = mul[e[5], e[6]]
-    x10 = mul[e[0], e[6]]
-    x11 = mul[e[3], e[7]]
-    x12 = mul[e[6], e[8]]
-    x20 = mul[e[1], e[6]]
-    x21 = mul[e[4], e[7]]
-    x22 = mul[e[7], e[8]]
-    det_x = (mul[x00, mul[x11, x22] ^ mul[x12, x21]]
-             ^ mul[x01, mul[x10, x22] ^ mul[x12, x20]]
-             ^ mul[x02, mul[x10, x21] ^ mul[x11, x20]])
-    _, det = _minors_and_det(mul, e)
-    return cross & (det_x == 0) & (det != 0)
-
-
-# -- exhaustive matrix census -------------------------------------------
 #
-# Entry k of a candidate is a_{i+1, j+1} with k = 3 i + j.  A scan is a
-# list of stages; each stage adds some entries and then applies tests
-# that read only entries known by that stage.  Candidates live in
-# dicts keyed by entry index, so a test that reads an entry not yet
-# known raises KeyError instead of reading garbage.
+# Entry k of a 3x3 matrix is a_{i+1, j+1} with k = 3 i + j; `mul` is the
+# array multiplication of `bulk_ops`.
 
 def _nonzero(*values) -> np.ndarray:
     mask = values[0] != 0
@@ -241,10 +181,60 @@ def _nonzero(*values) -> np.ndarray:
     return mask
 
 
+def _minor(mul, e, rows, cols) -> np.ndarray:
+    """The 2x2 minor on rows (r0, r1) and columns (c0, c1)."""
+    (r0, r1), (c0, c1) = rows, cols
+    return mul(e[3 * r0 + c0], e[3 * r1 + c1]) ^ mul(e[3 * r0 + c1], e[3 * r1 + c0])
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _det3(mul, e) -> np.ndarray:
+    """Cofactor expansion along row 0."""
+    return (mul(e[0], _minor(mul, e, (1, 2), (1, 2)))
+            ^ mul(e[1], _minor(mul, e, (1, 2), (0, 2)))
+            ^ mul(e[2], _minor(mul, e, (1, 2), (0, 1))))
+
+
+def _minors(mul, e) -> list:
+    """The nine 2x2 minors, row pairs outermost (the order of
+    `construct.minor_formulas`)."""
+    return [_minor(mul, e, rows, cols) for rows in _PAIRS for cols in _PAIRS]
+
+
+def _mds_mask(mul, e) -> np.ndarray:
+    return _nonzero(_det3(mul, e), *_minors(mul, e))
+
+
+def _cross_equal(mul, e) -> np.ndarray:
+    """The triangle products a12 a23 a31 and a13 a21 a32 agree."""
+    return mul(mul(e[1], e[5]), e[6]) == mul(mul(e[2], e[3]), e[7])
+
+
+# the entry products (k, l) of `si.si_product_det`'s matrix, row by row
+_PRODUCT_ENTRIES = ((0, 3), (3, 4), (5, 6), (0, 6), (3, 7), (6, 8),
+                    (1, 6), (4, 7), (7, 8))
+
+
+def _si_nowhere_zero_mask(mul, e) -> np.ndarray:
+    """Cross-product equality, vanishing product-matrix determinant and
+    non-vanishing determinant, for arrays of nowhere-zero entries."""
+    x = [mul(e[k], e[l]) for k, l in _PRODUCT_ENTRIES]
+    return _cross_equal(mul, e) & (_det3(mul, x) == 0) & (_det3(mul, e) != 0)
+
+
+# -- exhaustive matrix census -------------------------------------------
+#
+# A scan is a list of stages; each stage adds some entries and then
+# applies tests that read only entries known by that stage.  Candidates
+# live in dicts keyed by entry index, so a test that reads an entry not
+# yet known raises KeyError instead of reading garbage.
+
 def _square_entry(mul, e, i: int, j: int) -> np.ndarray:
     """Entry (i, j) of A^2: row i of A times column j of A."""
-    return (mul[e[3 * i], e[j]] ^ mul[e[3 * i + 1], e[3 + j]]
-            ^ mul[e[3 * i + 2], e[6 + j]])
+    return (mul(e[3 * i], e[j]) ^ mul(e[3 * i + 1], e[3 + j])
+            ^ mul(e[3 * i + 2], e[6 + j]))
 
 
 def _rest_of_identity(mul, e) -> np.ndarray:
@@ -262,15 +252,13 @@ def _rest_of_identity(mul, e) -> np.ndarray:
 # meets all nine entries of A^2 = I and `_mds_mask`.
 _STAGES = {
     "SI_MDS": (
-        ((1, 2, 3, 5, 6, 7),
-         (lambda mul, e: (mul[mul[e[1], e[5]], e[6]]
-                          == mul[mul[e[2], e[3]], e[7]]),)),
-        ((0,), (lambda mul, e: _nonzero(mul[e[0], e[5]] ^ mul[e[2], e[3]],
-                                        mul[e[0], e[7]] ^ mul[e[1], e[6]]),)),
-        ((4,), (lambda mul, e: _nonzero(mul[e[1], e[5]] ^ mul[e[2], e[4]],
-                                        mul[e[3], e[7]] ^ mul[e[4], e[6]]),)),
-        ((8,), (lambda mul, e: _nonzero(mul[e[1], e[8]] ^ mul[e[2], e[7]],
-                                        mul[e[3], e[8]] ^ mul[e[5], e[6]]),
+        ((1, 2, 3, 5, 6, 7), (_cross_equal,)),
+        ((0,), (lambda mul, e: _nonzero(_minor(mul, e, (0, 1), (0, 2)),
+                                        _minor(mul, e, (0, 2), (0, 1))),)),
+        ((4,), (lambda mul, e: _nonzero(_minor(mul, e, (0, 1), (1, 2)),
+                                        _minor(mul, e, (1, 2), (0, 1))),)),
+        ((8,), (lambda mul, e: _nonzero(_minor(mul, e, (0, 2), (1, 2)),
+                                        _minor(mul, e, (1, 2), (0, 2))),
                 _si_nowhere_zero_mask, _mds_mask)),
     ),
     "INV_MDS": (
@@ -328,7 +316,7 @@ def _descend(mul, stages, grids, k: int, e: dict) -> int:
 def _matrix_census_worker(args) -> int:
     field_dict, target, lo, hi = args
     gf = GF.from_dict(field_dict)
-    return _staged_count(mul_table(gf), gf.q, _STAGES[target], lo, hi)
+    return _staged_count(bulk_ops(gf)[0], gf.q, _STAGES[target], lo, hi)
 
 
 def exhaustive_matrix_census(gf: GF, target: str, jobs: int = 1,
@@ -352,34 +340,9 @@ def exhaustive_matrix_census(gf: GF, target: str, jobs: int = 1,
 # -- parametrized enumeration -------------------------------------------
 
 def _collect_s_tuples(gf: GF) -> list[np.ndarray]:
-    base = gf.q - 1
-    total = base ** 6
-    parts = [[] for _ in range(6)]
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        cols = _digits(start, stop, 6, base)
-        keep = np.flatnonzero(_tuple_set_masks(gf, cols, "S"))
-        for k in range(6):
-            parts[k].append(cols[k][keep])
-    return [np.concatenate(p) for p in parts]
-
-
-def _entries_from_params(gf: GF, a11, a22, a33, d1, d2, d3, x, y):
-    mul = mul_table(gf)
-    inv = inv_table(gf)
-    t1 = mul[a11, d1]
-    t2 = mul[a22, d2]
-    t3 = mul[a33, d3]
-    s12 = t1 ^ t2
-    s13 = t1 ^ t3
-    s23 = t2 ^ t3
-    r12 = mul[s13, inv[d2]]
-    r13 = mul[s12, inv[d3]]
-    r21 = mul[s23, inv[d1]]
-    xy = mul[x, y]
-    return [a11, mul[r12, x], mul[r13, xy],
-            mul[r21, inv[x]], a22, mul[r13, y],
-            mul[r21, inv[xy]], mul[r12, inv[y]], a33]
+    chunks = [[col[mask] for col in cols] for cols, mask in
+              _tuple_set_chunks(gf, "S", 0, (gf.q - 1) ** 6)]
+    return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
 def _pack_keys(e, m: int) -> np.ndarray:
@@ -416,7 +379,7 @@ def _scan_parametrized(gf: GF, on_batch, verify: bool = True,
     """Drive the tuple-times-(x, y) enumeration batch by batch, handing
     each batch's unique key array to `on_batch`.  Returns (tuple count,
     bulk verification failures, scalar spot-check failures)."""
-    mul = mul_table(gf)
+    mul, inv = bulk_ops(gf)
     s_cols = _collect_s_tuples(gf)
     n_tuples = len(s_cols[0])
     base = gf.q - 1
@@ -435,11 +398,9 @@ def _scan_parametrized(gf: GF, on_batch, verify: bool = True,
         cols = [np.repeat(c[start:stop], nxy) for c in s_cols]
         x = np.tile(xs, reps)
         y = np.tile(ys, reps)
-        e = _entries_from_params(gf, *cols, x, y)
+        e = construction_entries(mul, inv, decisive_sums(mul, *cols), *cols, x, y)
         if verify:
-            ok = _si_nowhere_zero_mask(mul, e) & _mds_mask(mul, e)
-            for col in e:
-                ok &= col != 0
+            ok = _nonzero(*e) & _si_nowhere_zero_mask(mul, e) & _mds_mask(mul, e)
             verify_failures += int(len(ok) - ok.sum())
             for flat in range(-seen % spot_check_stride, len(e[0]),
                               spot_check_stride):
@@ -485,7 +446,7 @@ def _enumeration_budget(gf: GF, long_run: bool) -> None:
 
 
 def enumerate_si_mds(gf: GF, mode: str = "count", dedup: bool = True,
-                     long_run: bool = False, jobs: int = 1):
+                     long_run: bool = False):
     """Build every matrix from the valid 6-tuples crossed with all
     (x, y), and count them.
 
@@ -556,44 +517,32 @@ class SweepResult:
 def _sweep_worker(args) -> tuple:
     field_dict, lo, hi = args
     gf = GF.from_dict(field_dict)
-    mul = mul_table(gf)
-    inv = inv_table(gf)
+    mul, inv = bulk_ops(gf)
     base = gf.q - 1
     mds_bad = si_bad = det_bad = zero_bad = 0
     for start in range(lo, hi, _CHUNK):
         stop = min(start + _CHUNK, hi)
         cols = _digits(start, stop, 8, base)
-        a11, a22, a33, d1, d2, d3, x, y = cols
-        t1 = mul[a11, d1]
-        t2 = mul[a22, d2]
-        t3 = mul[a33, d3]
-        s12 = t1 ^ t2
-        s13 = t1 ^ t3
-        s23 = t2 ^ t3
-        s = s12 ^ t3
-        e = _entries_from_params(gf, *cols)
-        sums_ok = (s12 != 0) & (s13 != 0) & (s23 != 0) & (s != 0)
-        mds_bad += int((_mds_mask(mul, e) != sums_ok).sum())
-        nowhere_zero = np.ones(len(s), dtype=bool)
-        for col in e:
-            nowhere_zero &= col != 0
-        pairs_ok = (s12 != 0) & (s13 != 0) & (s23 != 0)
-        zero_bad += int((nowhere_zero != pairs_ok).sum())
+        d1, d2, d3 = cols[3:6]
+        sums = decisive_sums(mul, *cols[:6])
+        s12, s13, s23, s = sums
+        e = construction_entries(mul, inv, sums, *cols)
+        det = _det3(mul, e)
+        mds_bad += int((_nonzero(det, *_minors(mul, e)) != _nonzero(*sums)).sum())
+        zero_bad += int((_nonzero(*e) != _nonzero(s12, s13, s23)).sum())
         # ADA = diag(s^2/d_i) identically; non-singular exactly when s != 0
-        w = [mul[(d1, d2, d3)[k], e[3 * k + j]] for k in range(3) for j in range(3)]
-        s2 = mul[s, s]
+        w = [mul((d1, d2, d3)[k], e[3 * k + j]) for k in range(3) for j in range(3)]
+        s2 = mul(s, s)
         ada_ok = np.ones(len(s), dtype=bool)
         for i in range(3):
             for j in range(3):
-                entry = (mul[e[3 * i + 0], w[0 * 3 + j]]
-                         ^ mul[e[3 * i + 1], w[1 * 3 + j]]
-                         ^ mul[e[3 * i + 2], w[2 * 3 + j]])
-                want = mul[s2, inv[(d1, d2, d3)[i]]] if i == j else 0
+                entry = (mul(e[3 * i + 0], w[0 * 3 + j])
+                         ^ mul(e[3 * i + 1], w[1 * 3 + j])
+                         ^ mul(e[3 * i + 2], w[2 * 3 + j]))
+                want = mul(s2, inv((d1, d2, d3)[i])) if i == j else 0
                 ada_ok &= entry == want
         si_bad += int((~ada_ok).sum())
-        _, det = _minors_and_det(mul, e)
-        dprod = mul[mul[d1, d2], d3]
-        want_det = mul[mul[mul[s, s], s], inv[dprod]]
+        want_det = mul(mul(s2, s), inv(mul(mul(d1, d2), d3)))
         det_bad += int((det != want_det).sum())
     return mds_bad, si_bad, det_bad, zero_bad
 

@@ -17,7 +17,7 @@ from .construct import (SiParams, build_matrix, curupira_is_mds,
                         curupira_matrix, extract_xy, predicted_invariants,
                         sum_conditions)
 from .errors import BudgetError, InternalMismatchError
-from .field import GF
+from .field import GF, json_ints
 from .matrix import Diagonal, Matrix
 from .si import SiVerdict, canonical_witness, si_check_3x3, si_oracle
 
@@ -116,7 +116,7 @@ def cmd_build(args) -> int:
 def cmd_extract(args) -> int:
     payload = _load_payload(args)
     A = Matrix.from_dict(payload["matrix"])
-    D = Diagonal(A.gf, payload["D"])
+    D = Diagonal(A.gf, json_ints(payload["D"], "'D'"))
     got = extract_xy(A, D)
     if got is None:
         _emit({"found": False}, args.format == "pretty")

@@ -11,7 +11,11 @@ whose behaviour is governed by the sums s12 = a11d1+a22d2,
 s13 = a11d1+a33d3, s23 = a22d2+a33d3 and s = a11d1+a22d2+a33d3:
 with s != 0 the matrix is semi-involutory with associated diagonal
 diag(d1, d2, d3), and it is MDS exactly when all four sums are
-non-zero.  Also included: the classic char-2 involutory family
+non-zero.  The sums and the nine entries have one implementation
+each, `decisive_sums` and `construction_entries`, written over
+callables mul(a, b) and inv(a): `build_matrix` passes the scalar field
+operations, and the bulk census paths pass table lookups over numpy
+arrays.  Also included: the classic char-2 involutory family
 I + aA + bB built from two rank-one patterns.
 """
 
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import GF
+from .field import GF, json_ints
 from .matrix import Diagonal, Matrix
 
 
@@ -59,12 +63,12 @@ class SiParams:
     @classmethod
     def from_dict(cls, d: dict) -> "SiParams":
         gf = GF.from_dict(d["field"])
-        a = d["a"]
-        dd = d["d"]
+        a = json_ints(d["a"], "'a'")
+        dd = json_ints(d["d"], "'d'")
+        xy = json_ints((d["x"], d["y"]), "'x' and 'y'")
         if len(a) != 3 or len(dd) != 3:
             raise ValueError("'a' and 'd' must hold three entries each")
-        return cls(gf, int(a[0]), int(a[1]), int(a[2]),
-                   int(dd[0]), int(dd[1]), int(dd[2]), int(d["x"]), int(d["y"]))
+        return cls(gf, *(int(v) for v in a + dd + xy))
 
 
 @dataclass(frozen=True)
@@ -89,16 +93,33 @@ class SumConditions:
                 "nonzero": list(self.flags)}
 
 
-def _products(p: SiParams) -> tuple[int, int, int]:
-    gf = p.gf
-    return gf.mul(p.a11, p.d1), gf.mul(p.a22, p.d2), gf.mul(p.a33, p.d3)
+def decisive_sums(mul, a11, a22, a33, d1, d2, d3) -> tuple:
+    """(s12, s13, s23, s) from the products t_i = a_ii d_i.
+
+    Written over `mul(a, b)` with XOR as addition, so the same lines take
+    Python ints (`gf.mul`) or numpy arrays (`_tables.bulk_ops`)."""
+    t1, t2, t3 = mul(a11, d1), mul(a22, d2), mul(a33, d3)
+    s12 = t1 ^ t2
+    return s12, t1 ^ t3, t2 ^ t3, s12 ^ t3
+
+
+def construction_entries(mul, inv, sums, a11, a22, a33, d1, d2, d3, x, y) -> list:
+    """The nine entries of the constructed matrix, row by row, given
+    `sums` = decisive_sums(...) of the same parameters.  Like
+    `decisive_sums`, it takes ints (`gf.mul`, `gf.inv`) or arrays."""
+    s12, s13, s23, _ = sums
+    r12 = mul(s13, inv(d2))
+    r13 = mul(s12, inv(d3))
+    r21 = mul(s23, inv(d1))
+    xy = mul(x, y)
+    return [a11, mul(r12, x), mul(r13, xy),
+            mul(r21, inv(x)), a22, mul(r13, y),
+            mul(r21, inv(xy)), mul(r12, inv(y)), a33]
 
 
 def sum_conditions(p: SiParams) -> SumConditions:
-    t1, t2, t3 = _products(p)
-    sc = SumConditions(t1 ^ t2, t1 ^ t3, t2 ^ t3, t1 ^ t2 ^ t3)
-    assert sc.s == sc.s12 ^ t3 == sc.s13 ^ t2
-    return sc
+    return SumConditions(*decisive_sums(p.gf.mul, p.a11, p.a22, p.a33,
+                                        p.d1, p.d2, p.d3))
 
 
 def build_matrix(p: SiParams) -> Matrix:
@@ -107,21 +128,10 @@ def build_matrix(p: SiParams) -> Matrix:
     No condition on the sums is imposed here: choices with s = 0
     legitimately produce a singular matrix."""
     gf = p.gf
-    t1, t2, t3 = _products(p)
-    s12, s13, s23 = t1 ^ t2, t1 ^ t3, t2 ^ t3
-    xy = gf.mul(p.x, p.y)
-    rows = [
-        [p.a11,
-         gf.mul(gf.div(s13, p.d2), p.x),
-         gf.mul(gf.div(s12, p.d3), xy)],
-        [gf.div(gf.div(s23, p.d1), p.x),
-         p.a22,
-         gf.mul(gf.div(s12, p.d3), p.y)],
-        [gf.div(gf.div(s23, p.d1), xy),
-         gf.div(gf.div(s13, p.d2), p.y),
-         p.a33],
-    ]
-    return Matrix(gf, rows)
+    sums = decisive_sums(gf.mul, p.a11, p.a22, p.a33, p.d1, p.d2, p.d3)
+    e = construction_entries(gf.mul, gf.inv, sums, p.a11, p.a22, p.a33,
+                             p.d1, p.d2, p.d3, p.x, p.y)
+    return Matrix(gf, [e[0:3], e[3:6], e[6:9]])
 
 
 def predicted_invariants(p: SiParams) -> tuple[int, tuple[int, int, int]]:
@@ -186,13 +196,10 @@ def extract_xy(A: Matrix, D: Diagonal) -> tuple[int, int] | None:
         raise ValueError("D must be a non-singular 3-entry diagonal")
     r = A.rows
     d1, d2, d3 = D.entries
-    t1 = gf.mul(r[0][0], d1)
-    t2 = gf.mul(r[1][1], d2)
-    t3 = gf.mul(r[2][2], d3)
-    s12, s13, s23 = t1 ^ t2, t1 ^ t3, t2 ^ t3
-    s = t1 ^ t2 ^ t3
-    if 0 in (s12, s13, s23, s):
+    sums = decisive_sums(gf.mul, r[0][0], r[1][1], r[2][2], d1, d2, d3)
+    if 0 in sums:
         return None
+    s12, s13, _, _ = sums
     x = gf.div(gf.mul(r[0][1], d2), s13)
     y = gf.div(gf.mul(r[1][2], d3), s12)
     p = SiParams(gf, r[0][0], r[1][1], r[2][2], d1, d2, d3, x, y)

@@ -19,6 +19,9 @@ characteristic is limited to prime fields.  Field sizes are capped at
 
 from __future__ import annotations
 
+# the largest field with lookup tables (one byte per element)
+TABLE_MAX_Q = 256
+
 
 def _poly2_mod(a: int, b: int) -> int:
     """Remainder of a divided by b, both polynomials over GF(2)."""
@@ -46,9 +49,19 @@ def validate_modulus(p: int, m: int, modulus: int | None) -> bool:
     which is exhaustive and cheap at the field sizes this package
     supports.  Degree-1 polynomials (m == 1) are always irreducible and
     the modulus value is ignored.  Returns False on a wrong degree.
+    Raises ValueError when p is not prime, m < 1, p^m exceeds 2^16, or
+    m > 1 with p != 2.
     """
-    if not _is_prime(p) or m < 1:
-        raise ValueError(f"need a prime p and m >= 1, got p={p}, m={m}")
+    # before the trial division in _is_prime and p ** m, whose cost
+    # grows with p and m
+    if p > 1 << 16 or m > 16:
+        raise ValueError(f"field size {p}^{m} exceeds the 2^16 cap")
+    if not _is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if p ** m > 1 << 16:
+        raise ValueError(f"field size {p ** m} exceeds the 2^16 cap")
     if m == 1:
         return True
     if p != 2:
@@ -62,6 +75,16 @@ def validate_modulus(p: int, m: int, modulus: int | None) -> bool:
     return True
 
 
+def json_ints(values, what: str) -> list:
+    """`values` as a list, with JSON booleans rejected: json loads
+    true/false as bool, an int subclass that int() and GF.validate
+    would otherwise accept as 1/0."""
+    values = list(values)
+    if any(isinstance(v, bool) for v in values):
+        raise ValueError(f"{what} must be integers, not booleans")
+    return values
+
+
 class GF:
     """A finite field GF(p^m) with explicit modulus.
 
@@ -71,41 +94,25 @@ class GF:
     m : extension degree.  m >= 2 requires p == 2 and a modulus.
     poly : modulus polynomial as an int bit-vector (bit i = coefficient
         of x^i), degree exactly m, irreducible.  Ignored when m == 1.
-    use_tables : force multiplication/inverse lookup tables on or off.
-        Defaults to on for q <= 256.  Tables change speed, not results.
     """
 
     __slots__ = ("p", "m", "q", "poly", "_mul_table", "_inv_table")
 
-    def __init__(self, p: int, m: int = 1, poly: int | None = None,
-                 use_tables: bool | None = None):
-        # before the trial division in _is_prime and p ** m, whose cost
-        # grows with p and m
-        if p > 1 << 16 or m > 16:
-            raise ValueError(f"field size {p}^{m} exceeds the 2^16 cap")
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        if m > 1 and p != 2:
-            raise ValueError("extension fields are supported for p=2 only")
-        q = p ** m
-        if q > 1 << 16:
-            raise ValueError(f"field size {q} exceeds the 2^16 cap")
-        if m == 1:
-            poly = None
-        elif not validate_modulus(p, m, poly):
+    def __init__(self, p: int, m: int = 1, poly: int | None = None):
+        if not validate_modulus(p, m, poly):
             raise ValueError(f"0b{poly:b} is not irreducible of degree {m} over GF(2)"
                              if poly is not None else "a modulus is required for m >= 2")
+        q = p ** m
         self.p = p
         self.m = m
         self.q = q
-        self.poly = poly
-        if use_tables is None:
-            use_tables = q <= 256
+        self.poly = poly if m > 1 else None
+        # flat q*q product table and inverse table, also the source of
+        # the numpy tables in _tables; above TABLE_MAX_Q arithmetic is
+        # computed per call
         self._mul_table = None
         self._inv_table = None
-        if use_tables:
+        if q <= TABLE_MAX_Q:
             mul = self._mul_raw
             self._mul_table = [mul(a, b) for a in range(q) for b in range(q)]
             self._inv_table = [0] + [self._pow_raw(a, q - 2) for a in range(1, q)]
@@ -215,5 +222,6 @@ class GF:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GF":
-        return cls(int(d["p"]), int(d.get("m", 1)),
-                   int(d["poly"]) if d.get("poly") is not None else None)
+        p, m, poly = json_ints((d["p"], d.get("m", 1), d.get("poly")),
+                               "field parameters")
+        return cls(int(p), int(m), None if poly is None else int(poly))

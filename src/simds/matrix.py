@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .errors import BudgetError
-from .field import GF
+from .field import GF, json_ints
 
 
 def check_permutation(perm, n: int) -> tuple:
@@ -216,10 +216,7 @@ class Matrix:
     @classmethod
     def from_dict(cls, d: dict) -> "Matrix":
         gf = GF.from_dict(d)
-        m = cls(gf, d["rows"])
-        # json loads true/false as bool, an int subclass GF.validate accepts
-        if any(isinstance(v, bool) for row in m.rows for v in row):
-            raise ValueError("matrix entries must be integers, not booleans")
+        m = cls(gf, [json_ints(row, "matrix entries") for row in d["rows"]])
         if "n" in d and int(d["n"]) != m.n:
             raise ValueError("declared n does not match the row grid")
         return m

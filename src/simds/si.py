@@ -24,6 +24,7 @@ import numpy as np
 
 from ._tables import mul_table, nonzero_grid
 from .errors import BudgetError, InternalMismatchError
+from .field import TABLE_MAX_Q
 from .matrix import Diagonal, Matrix
 
 BRANCH_REDUCIBLE = "reducible-form"
@@ -75,8 +76,9 @@ def associated_diagonals(A: Matrix, budget: int = DEFAULT_BUDGET) -> list[tuple]
     in ascending lexicographic order of the diagonal entries.
 
     This is a literal exhaustive scan of (q-1)^n diagonals.  For
-    characteristic 2 the scan is evaluated with lookup tables over the
-    whole grid at once; the result is identical to the scalar loop.
+    characteristic 2 and q <= TABLE_MAX_Q the scan is evaluated with
+    lookup tables over the whole grid at once; the result is identical
+    to the scalar loop.
     """
     gf, n = A.gf, A.n
     total = (gf.q - 1) ** n
@@ -84,7 +86,7 @@ def associated_diagonals(A: Matrix, budget: int = DEFAULT_BUDGET) -> list[tuple]
         raise BudgetError(f"(q-1)^n = {total} exceeds the search budget {budget}")
     coeff = _ada_coefficients(A)
     cells = [(i, j) for i in range(n) for j in range(n)]
-    if gf.p != 2:
+    if gf.p != 2 or gf.q > TABLE_MAX_Q:
         out = []
         for d in product(gf.elements(True), repeat=n):
             ok = True

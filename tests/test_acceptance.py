@@ -17,8 +17,8 @@ from simds import (GF, Diagonal, Matrix, SiParams,
                    exhaustive_matrix_census, extract_xy, formula_count,
                    minor_formulas, predicted_invariants, si_check_3x3,
                    si_oracle, sum_conditions, sweep_parameter_space)
-from simds._tables import mul_table
-from simds.census import _digits, _mds_mask, _si_nowhere_zero_mask
+from simds._tables import _digits, bulk_ops
+from simds.census import _mds_mask, _si_nowhere_zero_mask
 
 GF4 = GF(2, 2, 0b111)
 GF8 = GF(2, 3, 0b1101)
@@ -192,7 +192,7 @@ def test_c09_minor_closed_forms():
 def _si_and_mds_counts_gf8(gf):
     """(nowhere-zero semi-involutory, nowhere-zero semi-involutory MDS)
     totals over all (q-1)^9 matrices, via the bulk kernels."""
-    mul = mul_table(gf)
+    mul, _ = bulk_ops(gf)
     total = (gf.q - 1) ** 9
     n_si = n_si_mds = 0
     for start in range(0, total, 1 << 20):

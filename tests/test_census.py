@@ -8,8 +8,8 @@ from simds import (GF, BudgetError, brute_force_S, distinct_diag_inner_count,
                    exhaustive_matrix_census, formula_count, run_census,
                    sweep_parameter_space)
 from simds import census
-from simds._tables import mul_table
-from simds.census import (CSV_HEADER, SET_NAMES, _digits, _mds_mask,
+from simds._tables import _digits, bulk_ops, mul_table
+from simds.census import (CSV_HEADER, SET_NAMES, _mds_mask,
                           _pack_keys)
 
 
@@ -113,7 +113,7 @@ def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
     stages = [(entries, (keep_all,)) for entries, _ in census._STAGES[target]]
     stages[-1] = (stages[-1][0], (record,))
     first = (gf4.q - 1) ** len(stages[0][0])
-    visited = census._staged_count(mul_table(gf4), gf4.q, stages, 0, first)
+    visited = census._staged_count(bulk_ops(gf4)[0], gf4.q, stages, 0, first)
     assert visited == len(np.unique(np.concatenate(keys))) == 3 ** 9
     assert max(sizes) <= 100
 
@@ -131,7 +131,7 @@ def _inv_mds_by_flat_scan(gf):
                   ^ mul[e[3 * i + 2], e[6 + j]])
             keep = np.flatnonzero(sq == (1 if i == j else 0))
             e = [col[keep] for col in e]
-        count += int(_mds_mask(mul, e).sum())
+        count += int(_mds_mask(bulk_ops(gf)[0], e).sum())
     return count
 
 
@@ -139,6 +139,31 @@ def test_staged_inv_mds_matches_flat_scan(gf4, gf8, gf8b):
     for gf in (gf4, gf8, gf8b):
         assert (exhaustive_matrix_census(gf, "INV_MDS")
                 == _inv_mds_by_flat_scan(gf) == formula_count("INV_MDS", gf.m))
+
+
+class _Forbidden(Exception):
+    pass
+
+
+def test_scan_does_not_read_construction_or_entry_test(monkeypatch, gf4, gf8, gf8b):
+    """The exhaustive scan is a witness independent of the construction
+    and of `si_check_3x3`: with both broken wherever they are bound, it
+    still gives the paper's counts."""
+    from simds import construct, si
+
+    def forbidden(*args, **kwargs):
+        raise _Forbidden
+
+    for module in (construct, census, si):
+        for name in ("construction_entries", "decisive_sums", "si_check_3x3"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(_Forbidden):  # the patches reach the census
+        brute_force_S(gf4)
+    assert exhaustive_matrix_census(gf4, "SI_MDS") == 0
+    for gf in (gf8, gf8b):
+        assert exhaustive_matrix_census(gf, "SI_MDS") == 403368
+        assert exhaustive_matrix_census(gf, "INV_MDS") == 1176
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

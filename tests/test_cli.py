@@ -84,6 +84,21 @@ def test_build_zero_param_exit_2(capsys):
     assert code == 2 and err
 
 
+def test_booleans_rejected_exit_2(capsys):
+    params = ('{"field":{"p":2,"m":3,"poly":13},"a":[true,2,4],"d":[2,2,true],'
+              '"x":true,"y":2}')
+    code, _, err = run(capsys, "build", "--json", params)
+    assert code == 2 and "boolean" in err
+    code, out, _ = run(capsys, "build", "--json", PARAMS16)
+    matrix = json.dumps(json.loads(out)["matrix"])
+    code, _, err = run(capsys, "extract", "--json",
+                       '{"matrix": %s, "D": [true,true,true]}' % matrix)
+    assert code == 2 and "boolean" in err
+    code, _, err = run(capsys, "check", "--json",
+                       '{"p":2,"m":true,"rows":[[1]]}')
+    assert code == 2 and "boolean" in err
+
+
 def test_build_check_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "build", "--json", PARAMS16)
     matrix = json.dumps(json.loads(out)["matrix"])
@@ -220,6 +235,14 @@ def test_field_table(capsys):
 def test_check_1x1(capsys):
     code, out, _ = run(capsys, "check", "--json",
                        '{"p":2,"m":2,"poly":7,"n":1,"rows":[[3]]}')
+    rep = json.loads(out)
+    assert code == 0 and rep["si"] is True and rep["mds"] is True
+
+
+def test_check_1x1_beyond_table_size(capsys):
+    # GF(2^9) has no lookup tables; the diagonal search runs scalar
+    code, out, _ = run(capsys, "check", "--json",
+                       '{"p":2,"m":9,"poly":529,"rows":[[3]]}')
     rep = json.loads(out)
     assert code == 0 and rep["si"] is True and rep["mds"] is True
 

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from simds import GF, validate_modulus
+from simds._tables import inv_table, mul_table
 
 
 def egcd_inverse(gf, a):
@@ -114,6 +115,15 @@ def test_validate_modulus():
     assert validate_modulus(11, 1, None)
 
 
+def test_validate_modulus_size_cap():
+    t0 = time.monotonic()
+    for p, m, poly in ((1000000000000000003, 1, None),  # a prime far beyond the cap
+                       (2, 17, (1 << 17) | 0b11), (3, 11, None)):
+        with pytest.raises(ValueError):
+            validate_modulus(p, m, poly)
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_validate_modulus_counts():
     # number of irreducible degree-m polynomials over GF(2): 1, 2, 3
     for m, expect in ((2, 1), (3, 2), (4, 3)):
@@ -193,13 +203,21 @@ def test_inverse_vs_extended_euclid(small_field, f11):
 
 
 def test_tables_match_raw_arithmetic():
-    lazy = GF(2, 4, 0b10011, use_tables=False)
-    eager = GF(2, 4, 0b10011, use_tables=True)
-    for a in range(16):
-        for b in range(16):
-            assert lazy.mul(a, b) == eager.mul(a, b)
-        if a:
-            assert lazy.inv(a) == eager.inv(a)
+    """GF's lookup tables, and their numpy form, agree with the
+    table-free arithmetic; above q = 256 there are no tables."""
+    for gf in (GF(2, 4, 0b10011), GF(2, 8, 0b100011011)):
+        q = gf.q
+        mul, inv = mul_table(gf), inv_table(gf)
+        for a in range(q):
+            raw = [gf._mul_raw(a, b) for b in range(q)]
+            assert [gf.mul(a, b) for b in range(q)] == raw == mul[a].tolist()
+            if a:
+                assert gf.inv(a) == gf._pow_raw(a, q - 2) == inv[a]
+    big = GF(2, 9, 0b1000010001)
+    for table in (mul_table, inv_table):
+        with pytest.raises(ValueError):
+            table(big)
+    assert big.mul(big.inv(300), 300) == 1
 
 
 def test_sqrt(small_field):
