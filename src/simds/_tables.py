@@ -1,10 +1,15 @@
 """Numpy lookup tables and digit grids for bulk field arithmetic.
 
-The bulk kernels in `census` and `si` turn field arithmetic over arrays
-into fancy indexing.  `mul_table` and `inv_table` are the field's own
-product and inverse tables (built by `GF` for q <= TABLE_MAX_Q) as
-read-only uint8 arrays; `bulk_ops` wraps them as the callables
-mul(a, b) and inv(a) that the construction formulas are written over.
+`mul_table` and `inv_table` are the field's own product and inverse
+tables (built by `GF` for q <= TABLE_MAX_Q) as read-only uint8 arrays.
+`bulk_ops` wraps them as the callables mul(a, b) and inv(a) that the
+construction formulas and every bulk kernel in `census` and `si` are
+written over.  Both are one `ndarray.take` on a flat table, several
+times faster than a 2-D fancy index: mul(a, b) reads the product table
+raveled, at index (a << m) | b.  That index is built as uint16, whatever
+q is, because a uint8 `a << m` overflows once m >= 5.  It is built as a
+new array, not in place in the shifted copy of `a`, so that a and b
+broadcast against each other like the operands of any numpy operator.
 Only characteristic 2 is supported here (addition is XOR).
 """
 
@@ -44,9 +49,11 @@ def inv_table(gf: GF) -> np.ndarray:
 
 def bulk_ops(gf: GF):
     """(mul, inv): field multiplication and inversion over arrays of
-    elements, by lookup in `mul_table` and `inv_table`."""
-    mul, inv = mul_table(gf), inv_table(gf)
-    return (lambda a, b: mul[a, b]), inv.__getitem__
+    elements, by lookup in `mul_table` and `inv_table`.  Results are
+    uint8; the operands of mul broadcast."""
+    flat, m = mul_table(gf).ravel(), gf.m
+    return ((lambda a, b: flat.take((np.asarray(a, np.uint16) << m) | b)),
+            inv_table(gf).take)
 
 
 def _digits(start: int, stop: int, ndigits: int, base: int) -> list[np.ndarray]:

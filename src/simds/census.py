@@ -46,7 +46,9 @@ SET_NAMES = ("S", "S1", "S2", "S3", "S4", "S5", "SI_MDS", "INV_MDS")
 
 CSV_HEADER = "set,q,formula,brute_force,match,seconds"
 
-_CHUNK = 1 << 20
+# rows per block; `bulk_ops`'s `take` copies each index to 8-byte intp,
+# which bounds the peak RSS
+_CHUNK = 1 << 18
 
 
 def formula_count(set_name: str, m: int) -> int:

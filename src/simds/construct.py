@@ -68,7 +68,7 @@ class SiParams:
         xy = json_ints((d["x"], d["y"]), "'x' and 'y'")
         if len(a) != 3 or len(dd) != 3:
             raise ValueError("'a' and 'd' must hold three entries each")
-        return cls(gf, *(int(v) for v in a + dd + xy))
+        return cls(gf, *a, *dd, *xy)
 
 
 @dataclass(frozen=True)

@@ -76,12 +76,16 @@ def validate_modulus(p: int, m: int, modulus: int | None) -> bool:
 
 
 def json_ints(values, what: str) -> list:
-    """`values` as a list, with JSON booleans rejected: json loads
-    true/false as bool, an int subclass that int() and GF.validate
-    would otherwise accept as 1/0."""
+    """`values` as a list, each of which must be a JSON integer.  JSON
+    booleans are rejected although json loads them as bool, an int
+    subclass; so are fractions and strings, which int() would turn
+    into other numbers (1.9 into 1, "3" into 3)."""
     values = list(values)
-    if any(isinstance(v, bool) for v in values):
-        raise ValueError(f"{what} must be integers, not booleans")
+    for v in values:
+        if isinstance(v, bool):
+            raise ValueError(f"{what} must be integers, not booleans")
+        if not isinstance(v, int):
+            raise ValueError(f"{what} must be integers, not {v!r}")
     return values
 
 
@@ -222,6 +226,8 @@ class GF:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GF":
-        p, m, poly = json_ints((d["p"], d.get("m", 1), d.get("poly")),
-                               "field parameters")
-        return cls(int(p), int(m), None if poly is None else int(poly))
+        p, m = json_ints((d["p"], d.get("m", 1)), "field parameters")
+        poly = d.get("poly")
+        if poly is not None:
+            poly, = json_ints((poly,), "field parameters")
+        return cls(p, m, poly)

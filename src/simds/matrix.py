@@ -217,7 +217,7 @@ class Matrix:
     def from_dict(cls, d: dict) -> "Matrix":
         gf = GF.from_dict(d)
         m = cls(gf, [json_ints(row, "matrix entries") for row in d["rows"]])
-        if "n" in d and int(d["n"]) != m.n:
+        if "n" in d and json_ints((d["n"],), "'n'") != [m.n]:
             raise ValueError("declared n does not match the row grid")
         return m
 

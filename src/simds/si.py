@@ -22,7 +22,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from ._tables import mul_table, nonzero_grid
+from ._tables import bulk_ops, nonzero_grid
 from .errors import BudgetError, InternalMismatchError
 from .field import TABLE_MAX_Q
 from .matrix import Diagonal, Matrix
@@ -76,9 +76,9 @@ def associated_diagonals(A: Matrix, budget: int = DEFAULT_BUDGET) -> list[tuple]
     in ascending lexicographic order of the diagonal entries.
 
     This is a literal exhaustive scan of (q-1)^n diagonals.  For
-    characteristic 2 and q <= TABLE_MAX_Q the scan is evaluated with
-    lookup tables over the whole grid at once; the result is identical
-    to the scalar loop.
+    characteristic 2 and q <= TABLE_MAX_Q the scan is evaluated over
+    the whole grid at once with the bulk field arithmetic of
+    `_tables.bulk_ops`; the result is identical to the scalar loop.
     """
     gf, n = A.gf, A.n
     total = (gf.q - 1) ** n
@@ -101,13 +101,13 @@ def associated_diagonals(A: Matrix, budget: int = DEFAULT_BUDGET) -> list[tuple]
             if ok:
                 out.append(d)
         return out
-    mul = mul_table(gf)
+    mul, _ = bulk_ops(gf)
     grid = nonzero_grid(gf.q, n)
     tmat = np.array([[coeff[i][j][k] for k in range(n)] for i, j in cells],
                     dtype=np.uint8)
     acc = np.zeros((len(cells), total), dtype=np.uint8)
     for k in range(n):
-        acc ^= mul[tmat[:, k][:, None], grid[k][None, :]]
+        acc ^= mul(tmat[:, k][:, None], grid[k][None, :])
     mask = np.ones(total, dtype=bool)
     for row, (i, j) in enumerate(cells):
         mask &= (acc[row] == 0) if i != j else (acc[row] != 0)

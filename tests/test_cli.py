@@ -99,6 +99,19 @@ def test_booleans_rejected_exit_2(capsys):
     assert code == 2 and "boolean" in err
 
 
+def test_non_integer_numbers_rejected_exit_2(capsys):
+    params = ('{"field":{"p":2,"m":3,"poly":13},"a":[1.9,2,4],"d":[2,2,"3"],'
+              '"x":1,"y":2}')
+    code, out, err = run(capsys, "build", "--json", params)
+    assert code == 2 and not out and "1.9" in err
+    code, out, err = run(capsys, "check", "--json",
+                         '{"p":2.5,"m":"3","poly":13,"rows":[[1]]}')
+    assert code == 2 and not out and "2.5" in err
+    code, out, err = run(capsys, "check", "--json",
+                         '{"p":2,"m":3,"poly":13,"n":1.0,"rows":[[1]]}')
+    assert code == 2 and not out and "1.0" in err
+
+
 def test_build_check_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "build", "--json", PARAMS16)
     matrix = json.dumps(json.loads(out)["matrix"])

@@ -1,9 +1,10 @@
 import time
 
+import numpy as np
 import pytest
 
 from simds import GF, validate_modulus
-from simds._tables import inv_table, mul_table
+from simds._tables import bulk_ops, inv_table, mul_table
 
 
 def egcd_inverse(gf, a):
@@ -218,6 +219,28 @@ def test_tables_match_raw_arithmetic():
         with pytest.raises(ValueError):
             table(big)
     assert big.mul(big.inv(300), 300) == 1
+
+
+@pytest.mark.parametrize("m, poly", [(2, 0b111), (3, 0b1011), (3, 0b1101),
+                                     (4, 0b10011), (5, 0b100101),
+                                     (8, 0b100011011)])
+def test_bulk_ops_match_scalar_arithmetic(m, poly):
+    """`bulk_ops` gives gf.mul on all q^2 pairs and gf.inv on all
+    non-zero elements, as uint8, with broadcasting operands."""
+    gf = GF(2, m, poly)
+    q = gf.q
+    mul, inv = bulk_ops(gf)
+    a = np.arange(q, dtype=np.uint8)
+    want = [[gf.mul(x, y) for y in range(q)] for x in range(q)]
+    flat = mul(np.repeat(a, q), np.tile(a, q))
+    assert flat.dtype == np.uint8
+    assert flat.tolist() == [v for row in want for v in row]
+    grid = mul(a[:, None], a[None, :])
+    assert grid.dtype == np.uint8 and grid.tolist() == want
+    assert mul(a[1:4, None], a[None, :]).shape == (3, q)
+    inverses = inv(a[1:])
+    assert inverses.dtype == np.uint8
+    assert inverses.tolist() == [gf.inv(x) for x in range(1, q)]
 
 
 def test_sqrt(small_field):

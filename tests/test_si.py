@@ -280,3 +280,78 @@ def test_all_witnesses_enumeration(gf4):
         ok = (prod.rows[0][1] == 0 and prod.rows[1][0] == 0
               and prod.rows[0][0] != 0 and prod.rows[1][1] != 0)
         assert ok == (d in listed)
+
+
+def _seeded_sample(gf, seed, count):
+    """Non-singular matrices over gf: random entries (zeros included)
+    and construction-built semi-involutory ones, alternately."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            vals = [rng.randrange(1, gf.q) for _ in range(8)]
+            A = build_matrix(SiParams(gf, *vals))
+        else:
+            A = Matrix(gf, [[rng.randrange(gf.q) for _ in range(3)]
+                            for _ in range(3)])
+        if A.det() != 0:
+            out.append(A)
+    return out
+
+
+def test_associated_diagonals_tables_match_loop(monkeypatch, gf4, gf8, gf16a):
+    """The table evaluation of `associated_diagonals` lists the same
+    witnesses as its scalar loop."""
+    from simds import si
+    samples = [A for gf, n in ((gf4, 150), (gf8, 150), (gf16a, 20))
+               for A in _seeded_sample(gf, 29, n)]
+    by_tables = [associated_diagonals(A) for A in samples]
+    assert sum(map(bool, by_tables)) >= len(samples) // 2
+    monkeypatch.setattr(si, "TABLE_MAX_Q", 0)
+    assert [associated_diagonals(A) for A in samples] == by_tables
+
+
+class _Forbidden(Exception):
+    pass
+
+
+def _forbidden(*args, **kwargs):
+    raise _Forbidden
+
+
+def test_oracle_does_not_read_entry_test(monkeypatch, gf4, gf8):
+    """`si_oracle` is independent of the entry-level test: with every
+    part of `si_check_3x3` broken, its verdicts and witnesses are
+    unchanged."""
+    from simds import si
+    samples = _seeded_sample(gf4, 31, 300) + _seeded_sample(gf8, 37, 300)
+    before = [si_oracle(A) for A in samples]
+    assert any(v.si for v in before) and not all(v.si for v in before)
+    for name in ("si_check_3x3", "_cycle_products_equal", "si_product_det",
+                 "_block_form_si", "eigenvector_check"):
+        monkeypatch.setattr(si, name, _forbidden)
+    for A in samples:  # the patches reach every branch that reads them
+        zeros = [i == j for i, row in enumerate(A.rows)
+                 for j, v in enumerate(row) if v == 0]
+        if zeros != [False]:
+            with pytest.raises(_Forbidden):
+                si_check_3x3(A)
+    assert [si_oracle(A) for A in samples] == before
+
+
+def test_entry_test_searches_diagonals_only_for_witness(monkeypatch, gf4, gf8):
+    """On nowhere-zero and single-zero input `si_check_3x3` decides from
+    the entries alone: it reaches the oracle's diagonal search only to
+    produce the witness of a semi-involutory matrix."""
+    from simds import si
+    samples = [A for A in _seeded_sample(gf4, 41, 400) + _seeded_sample(gf8, 43, 400)
+               if sum(v == 0 for row in A.rows for v in row) <= 1]
+    verdicts = [si_oracle(A).si for A in samples]
+    assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100
+    monkeypatch.setattr(si, "associated_diagonals", _forbidden)
+    for A, is_si in zip(samples, verdicts):
+        if is_si:
+            with pytest.raises(_Forbidden):
+                si_check_3x3(A)
+        else:
+            assert si_check_3x3(A).si is False
