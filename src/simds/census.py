@@ -7,7 +7,9 @@ with an independent brute-force verifier at desk scale:
   decisive sums are non-zero), partitioned by the equality pattern of
   the a_ii, enumerated literally over (q-1)^6;
 * the parametrized enumeration, which builds every matrix from the
-  tuples in S x (x, y) and deduplicates by a packed 9-entry key;
+  tuples in S x (x, y) and deduplicates by a packed 9-entry key, one
+  (a11, a22) group at a time: both are matrix entries, so two groups
+  never share a matrix, and memory is bounded by one group's keys;
 * the exhaustive matrix census, which judges all (q-1)^9 nowhere-zero
   3x3 matrices and counts the semi-involutory MDS (or involutory MDS)
   ones with no reference to the construction.  It fixes the entries in
@@ -16,18 +18,20 @@ with an independent brute-force verifier at desk scale:
   and tests each condition at the first stage where every entry it
   reads is known, so the candidates a test rejects are never expanded.
 
-Bulk work runs on numpy lookup tables in fixed-size chunks; work can be
-partitioned across processes by contiguous index ranges, and results
-are independent of the partitioning (counts merge by addition, key sets
-by union).  The tuple sets, the parametrized enumeration and the
-parameter sweep take the decisive sums and the matrix entries from
-`construct.decisive_sums` and `construct.construction_entries`; the
-exhaustive matrix census uses neither, nor `si_check_3x3`.  All 2x2
-minors and 3x3 determinants over arrays come from `_minor` and `_det3`.
+Bulk work runs on numpy lookup tables in fixed-size chunks.  The tuple
+sets, the matrix census and the sweep can be partitioned across
+processes by contiguous index ranges, and their counts are independent
+of the partitioning; the enumeration runs in one process.  The tuple
+sets, the parametrized enumeration and the parameter sweep take the
+decisive sums and the matrix entries from `construct.decisive_sums`
+and `construct.construction_entries`; the exhaustive matrix census
+uses neither, nor `si_check_3x3`.  All 2x2 minors and 3x3 determinants
+over arrays come from `_minor` and `_det3`.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -92,13 +96,16 @@ def _ranges(total: int, parts: int):
 def _run_partitioned(worker, args, total: int, jobs: int, parts: int = 1,
                      progress=None) -> list:
     """Run `worker((*args, lo, hi))` over at least `parts` contiguous
-    spans of range(total), in `jobs` processes when jobs > 1.  Results
-    come back in completion order; `progress(fraction)` is called as
-    each span finishes."""
+    spans of range(total), in a pool of at most `jobs` processes, and
+    no more than the spans or the CPUs, when jobs > 1.  Results come
+    back in completion order; `progress(fraction)` is called as each
+    span finishes."""
     tasks = [(*args, lo, hi) for lo, hi in _ranges(total, max(jobs, parts))]
     if jobs <= 1 or len(tasks) <= 1:
         return _reported(map(worker, tasks), len(tasks), progress)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool may start every worker on the first submit
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, task) for task in tasks]
         return _reported((f.result() for f in as_completed(futures)),
                          len(tasks), progress)
@@ -340,11 +347,13 @@ def exhaustive_matrix_census(gf: GF, target: str, jobs: int = 1,
 
 
 # -- parametrized enumeration -------------------------------------------
+#
+# a11 and a22 are entries of every matrix the construction builds, so
+# tuples with different (a11, a22) never build the same matrix and each
+# (a11, a22) group is deduplicated on its own.
 
-def _collect_s_tuples(gf: GF) -> list[np.ndarray]:
-    chunks = [[col[mask] for col in cols] for cols, mask in
-              _tuple_set_chunks(gf, "S", 0, (gf.q - 1) ** 6)]
-    return [np.concatenate(parts) for parts in zip(*chunks)]
+# one scalar spot check per this many matrices of the build order
+_SPOT_CHECK_STRIDE = 4096
 
 
 def _pack_keys(e, m: int) -> np.ndarray:
@@ -362,7 +371,8 @@ def _unpack_key(key: int, m: int, gf: GF) -> Matrix:
 
 @dataclass(frozen=True)
 class EnumerationStats:
-    """Bookkeeping from the parametrized enumeration."""
+    """Bookkeeping from the parametrized enumeration.  The failure
+    counts of a returned record are 0: a failure raises instead."""
 
     distinct: int
     tuple_count: int
@@ -376,68 +386,43 @@ class EnumerationStats:
         return None
 
 
-def _scan_parametrized(gf: GF, on_batch, verify: bool = True,
-                       spot_check_stride: int = 4096) -> tuple[int, int, int]:
-    """Drive the tuple-times-(x, y) enumeration batch by batch, handing
-    each batch's unique key array to `on_batch`.  Returns (tuple count,
-    bulk verification failures, scalar spot-check failures)."""
+def _parametrized_groups(gf: GF):
+    """Build every matrix from the S tuples crossed with all (x, y), one
+    (a11, a22) group at a time in digit order, and yield each group's
+    sorted distinct keys with its tuple count.  Every matrix is verified
+    semi-involutory and MDS in bulk, and every `_SPOT_CHECK_STRIDE`-th
+    one of the build order also by `si_check_3x3`; any failure raises
+    InternalMismatchError."""
     mul, inv = bulk_ops(gf)
-    s_cols = _collect_s_tuples(gf)
-    n_tuples = len(s_cols[0])
-    base = gf.q - 1
-    xs, ys = np.meshgrid(np.arange(1, gf.q, dtype=np.uint8),
-                         np.arange(1, gf.q, dtype=np.uint8), indexing="ij")
-    xs = xs.ravel()
-    ys = ys.ravel()
-    nxy = base * base
+    xy = nonzero_grid(gf.q, 2)
+    nxy = len(xy[0])
     row_batch = max(1, _CHUNK // nxy)
-    verify_failures = 0
-    spot_failures = 0
+    group = (gf.q - 1) ** 4
     seen = 0
-    for start in range(0, n_tuples, row_batch):
-        stop = min(start + row_batch, n_tuples)
-        reps = stop - start
-        cols = [np.repeat(c[start:stop], nxy) for c in s_cols]
-        x = np.tile(xs, reps)
-        y = np.tile(ys, reps)
-        e = construction_entries(mul, inv, decisive_sums(mul, *cols), *cols, x, y)
-        if verify:
+    for lo in range(0, (gf.q - 1) ** 6, group):
+        chunks = [[col[mask] for col in cols] for cols, mask in
+                  _tuple_set_chunks(gf, "S", lo, lo + group)]
+        s_cols = [np.concatenate(parts) for parts in zip(*chunks)]
+        keys = [np.empty(0, np.uint64)]  # a group may hold no S tuple
+        for start in range(0, len(s_cols[0]), row_batch):
+            cols = [np.repeat(c[start:start + row_batch], nxy) for c in s_cols]
+            reps = len(cols[0]) // nxy
+            e = construction_entries(mul, inv, decisive_sums(mul, *cols), *cols,
+                                     *(np.tile(g, reps) for g in xy))
             ok = _nonzero(*e) & _si_nowhere_zero_mask(mul, e) & _mds_mask(mul, e)
-            verify_failures += int(len(ok) - ok.sum())
-            for flat in range(-seen % spot_check_stride, len(e[0]),
-                              spot_check_stride):
+            if not ok.all():
+                raise InternalMismatchError(
+                    f"{len(ok) - int(ok.sum())} enumerated matrices failed "
+                    f"bulk verification")
+            for flat in range(-seen % _SPOT_CHECK_STRIDE, len(ok), _SPOT_CHECK_STRIDE):
                 mtx = Matrix(gf, [[int(e[3 * i + j][flat]) for j in range(3)]
                                   for i in range(3)])
                 if not (si_check_3x3(mtx).si and mtx.is_mds()):
-                    spot_failures += 1
-        seen += len(e[0])
-        on_batch(np.unique(_pack_keys(e, gf.m)))
-    return n_tuples * nxy, verify_failures, spot_failures
-
-
-class _KeyAccumulator:
-    """Set union of uint64 key batches with bounded pending memory."""
-
-    def __init__(self, pending_limit: int = 64 << 20):
-        self._merged = np.array([], dtype=np.uint64)
-        self._pending: list[np.ndarray] = []
-        self._pending_rows = 0
-        self._limit = pending_limit
-
-    def add(self, keys: np.ndarray) -> None:
-        self._pending.append(keys)
-        self._pending_rows += len(keys)
-        if self._pending_rows > self._limit:
-            self._consolidate()
-
-    def _consolidate(self) -> None:
-        self._merged = np.unique(np.concatenate([self._merged] + self._pending))
-        self._pending = []
-        self._pending_rows = 0
-
-    def result(self) -> np.ndarray:
-        self._consolidate()
-        return self._merged
+                    raise InternalMismatchError(
+                        f"enumerated matrix {mtx!r} failed the scalar spot check")
+            seen += len(ok)
+            keys.append(np.unique(_pack_keys(e, gf.m)))
+        yield np.unique(np.concatenate(keys)), len(s_cols[0]) * nxy
 
 
 def _enumeration_budget(gf: GF, long_run: bool) -> None:
@@ -447,54 +432,51 @@ def _enumeration_budget(gf: GF, long_run: bool) -> None:
                           "the long-run flag")
 
 
-def enumerate_si_mds(gf: GF, mode: str = "count", dedup: bool = True,
-                     long_run: bool = False):
+def enumerate_si_mds(gf: GF, mode: str = "count", long_run: bool = False):
     """Build every matrix from the valid 6-tuples crossed with all
-    (x, y), and count them.
+    (x, y), and count the distinct ones (packed 9-entry keys).
 
-    With `dedup` the count is of distinct matrices (packed 9-entry
-    keys); without it, of parameter tuples.  Every built matrix is
-    verified semi-involutory and MDS in bulk, with a scalar
-    `si_check_3x3` spot check on a deterministic subsample; any failure
-    raises InternalMismatchError.  `mode="emit"` returns a generator of
-    the distinct matrices in ascending key order, each re-verified as
-    it is produced.
+    Every built matrix is verified semi-involutory and MDS in bulk, with
+    a scalar `si_check_3x3` spot check on a deterministic subsample; any
+    failure raises InternalMismatchError.  `mode="emit"` returns a
+    generator of the distinct matrices in ascending key order, each
+    re-verified as it is produced.
     """
     if mode not in ("count", "emit"):
         raise ValueError("mode must be 'count' or 'emit'")
     _enumeration_budget(gf, long_run)
     if mode == "emit":
         return _emit_si_mds(gf)
-    stats = enumeration_stats(gf, dedup=dedup, long_run=long_run)
-    return stats.distinct if dedup else stats.tuple_count
+    return enumeration_stats(gf, long_run=long_run).distinct
 
 
-def enumeration_stats(gf: GF, dedup: bool = True,
-                      long_run: bool = False) -> EnumerationStats:
+def enumeration_stats(gf: GF, long_run: bool = False) -> EnumerationStats:
     """Run the parametrized enumeration and report distinct-matrix and
     tuple counts side by side (their ratio measures how many parameter
     tuples collide on one matrix)."""
     _enumeration_budget(gf, long_run)
-    acc = _KeyAccumulator()
-    tuple_count, vfail, sfail = _scan_parametrized(
-        gf, acc.add if dedup else (lambda keys: None))
-    if vfail or sfail:
-        raise InternalMismatchError(
-            f"enumerated matrices failed verification (bulk={vfail}, spot={sfail})")
-    distinct = len(acc.result()) if dedup else 0
-    return EnumerationStats(distinct, tuple_count, vfail, sfail)
+    distinct = tuple_count = 0
+    for keys, n in _parametrized_groups(gf):
+        distinct += len(keys)
+        tuple_count += n
+    return EnumerationStats(distinct, tuple_count, 0, 0)
+
+
+def _sorted_keys(gf: GF):
+    """The distinct keys in ascending order, one array per a11: a11
+    leads the key, and the (a11, a22) groups of one a11 are disjoint."""
+    groups = _parametrized_groups(gf)
+    for same_a11 in zip(*[groups] * (gf.q - 1)):
+        yield np.sort(np.concatenate([keys for keys, _ in same_a11]))
 
 
 def _emit_si_mds(gf: GF):
-    acc = _KeyAccumulator()
-    _, vfail, sfail = _scan_parametrized(gf, acc.add)
-    if vfail or sfail:
-        raise InternalMismatchError("enumerated matrices failed verification")
-    for key in acc.result():
-        mtx = _unpack_key(int(key), gf.m, gf)
-        if not (si_check_3x3(mtx).si and mtx.is_mds()):
-            raise InternalMismatchError("emitted matrix failed re-verification")
-        yield mtx
+    for keys in _sorted_keys(gf):
+        for key in keys:
+            mtx = _unpack_key(int(key), gf.m, gf)
+            if not (si_check_3x3(mtx).si and mtx.is_mds()):
+                raise InternalMismatchError("emitted matrix failed re-verification")
+            yield mtx
 
 
 # -- full parameter-space sweep ----------------------------------------

@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the full matrix scan for SI_MDS instead of the "
                         "parametrized enumeration")
     p.add_argument("--long-run", action="store_true",
-                   help="allow the q=16 parametrized dedup run")
+                   help="allow the q=16 parametrized enumeration "
+                        "(about 5 minutes)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--progress", action="store_true",
                    help="report progress on stderr")

@@ -188,6 +188,8 @@ def extract_xy(A: Matrix, D: Diagonal) -> tuple[int, int] | None:
     the constructed form relative to D).
     """
     gf = A.gf
+    if gf.p != 2:
+        raise ValueError("the construction lives over characteristic 2")
     if A.n != 3:
         raise ValueError("extract_xy needs a 3x3 matrix")
     if any(v == 0 for row in A.rows for v in row):

@@ -48,7 +48,8 @@ def validate_modulus(p: int, m: int, modulus: int | None) -> bool:
     Checked by trial division by every polynomial of degree 1..m/2,
     which is exhaustive and cheap at the field sizes this package
     supports.  Degree-1 polynomials (m == 1) are always irreducible and
-    the modulus value is ignored.  Returns False on a wrong degree.
+    the modulus value is ignored.  Returns False on a wrong degree or a
+    negative modulus (`int.bit_length` ignores the sign).
     Raises ValueError when p is not prime, m < 1, p^m exceeds 2^16, or
     m > 1 with p != 2.
     """
@@ -66,7 +67,7 @@ def validate_modulus(p: int, m: int, modulus: int | None) -> bool:
         return True
     if p != 2:
         raise ValueError("extension fields are supported for p=2 only")
-    if modulus is None or modulus.bit_length() != m + 1:
+    if modulus is None or modulus < 0 or modulus.bit_length() != m + 1:
         return False
     for d in range(1, m // 2 + 1):
         for divisor in range(1 << d, 1 << (d + 1)):

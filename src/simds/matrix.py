@@ -2,9 +2,11 @@
 
 Matrices and diagonal matrices are immutable values carrying their
 field; every operation returns a new object, so they are safe to share
-between parallel workers.  Determinants and inverses use closed-form
-cofactor expansion up to 3x3 (the hot size here) and Gaussian
-elimination above that.
+between parallel workers.  Determinants use closed-form cofactor
+expansion up to 3x3 (the hot size here) and Gaussian elimination above
+that; inverses use Gauss-Jordan elimination at every size.  `is_mds`
+examines at most MDS_MINOR_BUDGET minors, so a check ends in bounded
+time at any n.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ from itertools import combinations, permutations
 
 from .errors import BudgetError
 from .field import GF, json_ints
+
+# the most minors `Matrix.is_mds` examines, as many as the diagonals
+# `si.associated_diagonals` searches by default
+MDS_MINOR_BUDGET = 4096
 
 
 def check_permutation(perm, n: int) -> tuple:
@@ -113,33 +119,7 @@ class Matrix:
         return det
 
     def inverse(self) -> "Matrix":
-        gf, n = self.gf, self.n
-        d = self.det()
-        if d == 0:
-            raise ValueError("matrix is singular")
-        if n <= 3:
-            dinv = gf.inv(d)
-            r = self.rows
-            if n == 1:
-                return Matrix(gf, [[dinv]])
-            if n == 2:
-                return Matrix(gf, [[gf.mul(dinv, r[1][1]), gf.mul(dinv, gf.neg(r[0][1]))],
-                                   [gf.mul(dinv, gf.neg(r[1][0])), gf.mul(dinv, r[0][0])]])
-            adj = [[0] * 3 for _ in range(3)]
-            for i in range(3):
-                for j in range(3):
-                    # cofactor of (j, i), transposed into (i, j)
-                    rs = [k for k in range(3) if k != j]
-                    cs = [k for k in range(3) if k != i]
-                    minor = gf.sub(gf.mul(r[rs[0]][cs[0]], r[rs[1]][cs[1]]),
-                                   gf.mul(r[rs[0]][cs[1]], r[rs[1]][cs[0]]))
-                    if (i + j) % 2:
-                        minor = gf.neg(minor)
-                    adj[i][j] = gf.mul(dinv, minor)
-            return Matrix(gf, adj)
-        return self._inverse_eliminate()
-
-    def _inverse_eliminate(self) -> "Matrix":
+        """Gauss-Jordan elimination; a singular matrix raises ValueError."""
         gf, n = self.gf, self.n
         a = [list(row) + [1 if i == j else 0 for j in range(n)]
              for i, row in enumerate(self.rows)]
@@ -167,15 +147,26 @@ class Matrix:
         return Matrix(self.gf, [[self.rows[i][j] for j in cols] for i in rows])
 
     def is_mds(self) -> bool:
-        """True iff every square submatrix of every order is non-singular."""
+        """True iff every square submatrix of every order is non-singular.
+
+        The n^2 entries count as the 1x1 minors.  Raises BudgetError
+        rather than examine more than MDS_MINOR_BUDGET minors, which
+        covers all C(2n, n) - 1 of them for every n <= 7.
+        """
         n = self.n
         for row in self.rows:
             if 0 in row:
                 return False
+        examined = n * n
         idx = range(n)
         for size in range(2, n + 1):
             for rs in combinations(idx, size):
                 for cs in combinations(idx, size):
+                    examined += 1
+                    if examined > MDS_MINOR_BUDGET:
+                        raise BudgetError(f"the MDS test of a {n}x{n} matrix "
+                                          f"examines more than "
+                                          f"{MDS_MINOR_BUDGET} minors")
                     if self.submatrix(rs, cs).det() == 0:
                         return False
         return True
@@ -247,9 +238,6 @@ class Diagonal:
 
     def inverse(self) -> "Diagonal":
         return Diagonal(self.gf, [self.gf.inv(v) for v in self.entries])
-
-    def scale(self, t: int) -> "Diagonal":
-        return Diagonal(self.gf, [self.gf.mul(t, v) for v in self.entries])
 
     def __matmul__(self, other):
         gf = self.gf

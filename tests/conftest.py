@@ -1,6 +1,8 @@
+from concurrent.futures import Future
+
 import pytest
 
-from simds import GF
+from simds import GF, census
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +37,28 @@ def gf16b():
 @pytest.fixture(scope="session")
 def f11():
     return GF(11)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the census process pool by one that runs each task in
+    this process; returns the list of pool sizes asked for."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, arg):
+            future = Future()
+            future.set_result(fn(arg))
+            return future
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+    return sizes

@@ -9,8 +9,10 @@ from simds import (GF, BudgetError, brute_force_S, distinct_diag_inner_count,
                    sweep_parameter_space)
 from simds import census
 from simds._tables import _digits, bulk_ops, mul_table
-from simds.census import (CSV_HEADER, SET_NAMES, _mds_mask,
+from simds.census import (CSV_HEADER, SET_NAMES, _mds_mask, _nonzero,
                           _pack_keys)
+from simds.construct import construction_entries, decisive_sums
+from simds.si import si_check_3x3
 
 
 def tuple_set_by_loops(gf, subset):
@@ -166,6 +168,22 @@ def test_scan_does_not_read_construction_or_entry_test(monkeypatch, gf4, gf8, gf
         assert exhaustive_matrix_census(gf, "INV_MDS") == 1176
 
 
+@pytest.mark.parametrize("cpus, jobs, want", [
+    (2, 100000, 2),     # capped at the CPUs
+    (4, 3, 3),          # at the jobs asked for
+    (1000, 100000, 243),  # at the spans: (q-1)^5 first-stage rows
+])
+def test_pool_size_capped(gf4, monkeypatch, inline_pool, cpus, jobs, want):
+    monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
+    seen = []
+    assert exhaustive_matrix_census(gf4, "INV_MDS", jobs=jobs,
+                                    progress=seen.append) == 0
+    assert inline_pool == [want]
+    # the spans, and so the progress calls, do not depend on the cap
+    assert len(seen) == len(census._ranges(3 ** 5, max(jobs, census._SCAN_SPANS)))
+    assert seen[-1] == 1.0
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_progress(gf8b, jobs):
     seen = []
@@ -199,8 +217,69 @@ def test_enumerate_gf8(gf8b):
     assert stats.tuples_per_matrix == 7
 
 
-def test_enumerate_without_dedup_counts_tuples(gf8b):
-    assert enumerate_si_mds(gf8b, dedup=False) == 57624 * 49
+@pytest.fixture(scope="module")
+def built_keys_gf8b(gf8b):
+    """Reference: the packed key of every matrix built from S x (x, y),
+    in build order, i.e. all 7^8 parameter tuples in digit order with
+    those outside S (a decisive sum is zero) dropped, deduplicated by
+    no one."""
+    mul, inv = bulk_ops(gf8b)
+    total = 7 ** 8
+    out = []
+    for start in range(0, total, 1 << 18):
+        cols = _digits(start, min(start + (1 << 18), total), 8, 7)
+        keep = np.flatnonzero(_nonzero(*decisive_sums(mul, *cols[:6])))
+        cols = [col[keep] for col in cols]
+        e = construction_entries(mul, inv, decisive_sums(mul, *cols[:6]), *cols)
+        out.append(_pack_keys(e, gf8b.m))
+    return np.concatenate(out)
+
+
+def test_group_dedup_equals_global_dedup(gf8b, built_keys_gf8b):
+    """The (a11, a22) groups are disjoint, and together they hold
+    exactly the distinct keys of one global dedup of every built
+    matrix."""
+    groups = list(census._parametrized_groups(gf8b))
+    assert len(groups) == 7 * 7
+    assert sum(n for _, n in groups) == len(built_keys_gf8b) == 57624 * 49
+    for keys, _ in groups:
+        assert (keys[1:] > keys[:-1]).all()
+    merged = np.sort(np.concatenate([keys for keys, _ in groups]))
+    assert np.array_equal(merged, np.unique(built_keys_gf8b))
+
+
+def test_spot_checks_follow_build_order(gf8b, built_keys_gf8b, monkeypatch):
+    """The scalar spot check sees every 4096th matrix of the build
+    order: 690 at q = 8."""
+    checked = []
+
+    def spy(A):
+        checked.append(A)
+        return si_check_3x3(A)
+
+    monkeypatch.setattr(census, "si_check_3x3", spy)
+    assert enumeration_stats(gf8b).distinct == 403368
+    keys = []
+    for A in checked:
+        key = 0
+        for v in itertools.chain(*A.rows):
+            key = (key << gf8b.m) | v
+        keys.append(key)
+    assert len(keys) == 690
+    assert keys == built_keys_gf8b[::4096].tolist()
+
+
+def test_emit_keys_ascend(gf8b, built_keys_gf8b):
+    """The emit stream is the global dedup in ascending key order, also
+    across a11 boundaries."""
+    blocks = list(census._sorted_keys(gf8b))
+    assert len(blocks) == 7
+    keys = np.concatenate(blocks)
+    assert (keys[1:] > keys[:-1]).all()
+    assert np.array_equal(keys, np.unique(built_keys_gf8b))
+    first = itertools.islice(enumerate_si_mds(gf8b, mode="emit"), 40)
+    assert [m.rows for m in first] == [census._unpack_key(int(k), 3, gf8b).rows
+                                       for k in keys[:40]]
 
 
 def test_emit_stream(gf8b):

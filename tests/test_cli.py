@@ -1,5 +1,8 @@
 import json
+import os
+import time
 
+from simds import GF
 from simds.cli import main
 
 REMARK = '{"p":2,"m":3,"poly":13,"n":3,"rows":[[6,1,5],[1,6,3],[5,3,6]]}'
@@ -58,6 +61,36 @@ def test_check_out_of_domain_input_exit_2(capsys):
     code, _, err = run(capsys, "check", "--json",
                        '{"p":2,"m":3,"poly":11,"n":2,"rows":[[true,false],[false,true]]}')
     assert code == 2 and "boolean" in err
+
+
+def test_negative_modulus_exit_2(capsys):
+    for argv in (("field-table", "--m", "3", "--poly", "-9"),
+                 ("field-table", "--m", "3", "--poly", "-13"),
+                 ("check", "--json", '{"p":2,"m":3,"poly":-13,"rows":[[1]]}')):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "irreducible" in err
+        assert time.monotonic() - t0 < 1.0
+
+
+def test_check_large_n_exit_3(capsys):
+    """The MDS test of an n x n Cauchy matrix (MDS, so no early exit)
+    stops at its minor budget."""
+    gf = GF(2, 8, 0b100011011)
+    for n in (12, 16):
+        rows = [[gf.inv(i ^ (n + j)) for j in range(n)] for i in range(n)]
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "check", "--json",
+                             json.dumps({**gf.to_dict(), "rows": rows}))
+        assert code == 3 and not out and "minors" in err
+        assert time.monotonic() - t0 < 2.0
+
+
+def test_count_many_jobs_capped(capsys, inline_pool):
+    code, out, _ = run(capsys, "count", "--m", "2", "--poly", "7",
+                       "--set", "S", "--jobs", "100000")
+    assert code == 0 and json.loads(out)["match"] is True
+    assert inline_pool == [min(3 ** 6, os.cpu_count() or 1)]
 
 
 def test_build_gf16_example(capsys):

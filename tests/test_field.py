@@ -125,6 +125,16 @@ def test_validate_modulus_size_cap():
     assert time.monotonic() - t0 < 1.0
 
 
+def test_validate_modulus_negative():
+    # int.bit_length ignores the sign: -13 has the degree of 0b1101
+    t0 = time.monotonic()
+    for m, poly in ((3, -13), (3, -11), (3, -9), (4, -19)):
+        assert validate_modulus(2, m, poly) is False
+    assert time.monotonic() - t0 < 1.0
+    with pytest.raises(ValueError):
+        GF(2, 3, -13)
+
+
 def test_validate_modulus_counts():
     # number of irreducible degree-m polynomials over GF(2): 1, 2, 3
     for m, expect in ((2, 1), (3, 2), (4, 3)):

@@ -1,9 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from simds import BudgetError, Diagonal, Matrix
+from simds import GF, BudgetError, Diagonal, Matrix
 
 
 def all_matrices(gf, n):
@@ -181,6 +182,50 @@ def test_inverse_roundtrip_3x3(gf8):
             continue
         assert A @ A.inverse() == Matrix.identity(gf8, 3)
         done += 1
+
+
+def test_inverse_is_adjugate_over_det(gf4, gf8, f11):
+    """Elimination agrees with the cofactor formula for n = 1..3."""
+    rng = random.Random(7)
+    for gf in (gf4, gf8, f11):
+        for n in (1, 2, 3):
+            done = 0
+            while done < 60:
+                A = Matrix(gf, [[rng.randrange(gf.q) for _ in range(n)]
+                                for _ in range(n)])
+                det = A.det()
+                if det == 0:
+                    continue
+                dinv = gf.inv(det)
+                adj = [[1 if n == 1 else
+                        A.submatrix([k for k in range(n) if k != j],
+                                    [k for k in range(n) if k != i]).det()
+                        for j in range(n)] for i in range(n)]
+                want = [[gf.mul(dinv, adj[i][j] if (i + j) % 2 == 0
+                                else gf.neg(adj[i][j]))
+                         for j in range(n)] for i in range(n)]
+                assert A.inverse() == Matrix(gf, want)
+                done += 1
+
+
+def cauchy(gf, n):
+    """1/(x_i + y_j) over disjoint x, y: every square submatrix is again
+    Cauchy, hence non-singular, so the matrix is MDS."""
+    return Matrix(gf, [[gf.inv(i ^ (n + j)) for j in range(n)] for i in range(n)])
+
+
+def test_is_mds_minor_budget():
+    gf = GF(2, 8, 0b100011011)
+    t0 = time.monotonic()
+    # n = 7 has C(14, 7) - 1 = 3431 minors, all within the budget
+    assert cauchy(gf, 7).is_mds()
+    for n in (8, 12, 16):
+        with pytest.raises(BudgetError):
+            cauchy(gf, n).is_mds()
+    # a verdict reached within the budget stands at any n
+    ones = Matrix(gf, [[1] * 16 for _ in range(16)])
+    assert not ones.is_mds()
+    assert time.monotonic() - t0 < 2.0
 
 
 def test_is_mds_agrees_with_direct_enumeration_gf4(gf4):
