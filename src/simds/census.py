@@ -16,17 +16,22 @@ with an independent brute-force verifier at desk scale:
   stages (SI_MDS: the six off-diagonal entries, then a11, a22, a33;
   INV_MDS: row 0 and column 0, then a22 and a32, then a23, then a33)
   and tests each condition at the first stage where every entry it
-  reads is known, so the candidates a test rejects are never expanded.
+  reads is known, so the candidates a test rejects are never expanded;
+* the parameter sweep, which checks the construction's MDS, A D A,
+  determinant and zero-pattern claims on every 8-tuple (a11, a22, a33,
+  d1, d2, d3, x, y): a block of 6-tuples, as (R, 1) columns, is crossed
+  with the (1, (q-1)^2) row of all (x, y) by broadcasting, so what
+  reads only the 6-tuple is computed once for its (q-1)^2 pairs.
 
 Bulk work runs on numpy lookup tables in fixed-size chunks.  The tuple
 sets, the matrix census and the sweep can be partitioned across
-processes by contiguous index ranges, and their counts are independent
-of the partitioning; the enumeration runs in one process.  The tuple
-sets, the parametrized enumeration and the parameter sweep take the
-decisive sums and the matrix entries from `construct.decisive_sums`
-and `construct.construction_entries`; the exhaustive matrix census
-uses neither, nor `si_check_3x3`.  All 2x2 minors and 3x3 determinants
-over arrays come from `_minor` and `_det3`.
+processes by contiguous index ranges (of the 6-tuples, for the sweep),
+and their counts are independent of the partitioning; the enumeration
+runs in one process.  The tuple sets, the parametrized enumeration and
+the parameter sweep take the decisive sums and the matrix entries from
+`construct.decisive_sums` and `construct.construction_entries`; the
+exhaustive matrix census uses neither, nor `si_check_3x3`.  All 2x2
+minors and 3x3 determinants over arrays come from `_minor` and `_det3`.
 """
 
 from __future__ import annotations
@@ -184,8 +189,10 @@ def distinct_diag_inner_count(gf: GF, a11: int, a22: int, a33: int) -> int:
 # array multiplication of `bulk_ops`.
 
 def _nonzero(*values) -> np.ndarray:
-    mask = values[0] != 0
-    for v in values[1:]:
+    """Whether every value is non-zero, over the broadcast shape of the
+    values."""
+    mask = np.ones(np.broadcast_shapes(*(np.shape(v) for v in values)), dtype=bool)
+    for v in values:
         mask &= v != 0
     return mask
 
@@ -199,11 +206,14 @@ def _minor(mul, e, rows, cols) -> np.ndarray:
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _det3(mul, e) -> np.ndarray:
-    """Cofactor expansion along row 0."""
-    return (mul(e[0], _minor(mul, e, (1, 2), (1, 2)))
-            ^ mul(e[1], _minor(mul, e, (1, 2), (0, 2)))
-            ^ mul(e[2], _minor(mul, e, (1, 2), (0, 1))))
+def _det3(mul, e, row12=None) -> np.ndarray:
+    """Cofactor expansion along row 0.  `row12` holds the minors on rows
+    (1, 2) and columns (0, 1), (0, 2), (1, 2), when the caller has them
+    (the last three of `_minors`)."""
+    if row12 is None:
+        row12 = [_minor(mul, e, (1, 2), cols) for cols in _PAIRS]
+    m01, m02, m12 = row12
+    return mul(e[0], m12) ^ mul(e[1], m02) ^ mul(e[2], m01)
 
 
 def _minors(mul, e) -> list:
@@ -213,7 +223,8 @@ def _minors(mul, e) -> list:
 
 
 def _mds_mask(mul, e) -> np.ndarray:
-    return _nonzero(_det3(mul, e), *_minors(mul, e))
+    minors = _minors(mul, e)
+    return _nonzero(_det3(mul, e, minors[6:]), *minors)
 
 
 def _cross_equal(mul, e) -> np.ndarray:
@@ -371,13 +382,12 @@ def _unpack_key(key: int, m: int, gf: GF) -> Matrix:
 
 @dataclass(frozen=True)
 class EnumerationStats:
-    """Bookkeeping from the parametrized enumeration.  The failure
-    counts of a returned record are 0: a failure raises instead."""
+    """Bookkeeping from the parametrized enumeration.  It holds no
+    failure counts: a matrix that fails verification raises
+    InternalMismatchError instead."""
 
     distinct: int
     tuple_count: int
-    verify_failures: int
-    spot_check_failures: int
 
     @property
     def tuples_per_matrix(self) -> int | None:
@@ -459,7 +469,7 @@ def enumeration_stats(gf: GF, long_run: bool = False) -> EnumerationStats:
     for keys, n in _parametrized_groups(gf):
         distinct += len(keys)
         tuple_count += n
-    return EnumerationStats(distinct, tuple_count, 0, 0)
+    return EnumerationStats(distinct, tuple_count)
 
 
 def _sorted_keys(gf: GF):
@@ -499,25 +509,38 @@ class SweepResult:
 
 
 def _sweep_worker(args) -> tuple:
+    """The four failure counters over the 6-tuples (a11, a22, a33, d1,
+    d2, d3) [lo, hi) in digit order, each crossed with every (x, y).
+
+    A block holds up to `_CHUNK // (q-1)^2` 6-tuples as (R, 1) columns;
+    (x, y) is a (1, (q-1)^2) row, and every bulk operation broadcasts.
+    Whatever reads only the 6-tuple (the sums, r12/r13/r21, the A D A
+    diagonal targets, the predicted det) is an (R, 1) array, computed
+    once per 6-tuple; every entry, minor and comparison that reads x or
+    y is an (R, (q-1)^2) array, computed for each of the 8-tuples."""
     field_dict, lo, hi = args
     gf = GF.from_dict(field_dict)
     mul, inv = bulk_ops(gf)
     base = gf.q - 1
+    x, y = (g[None, :] for g in nonzero_grid(gf.q, 2))
+    width = x.shape[1]
+    step = max(1, _CHUNK // width)
     mds_bad = si_bad = det_bad = zero_bad = 0
-    for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
-        cols = _digits(start, stop, 8, base)
-        d1, d2, d3 = cols[3:6]
-        sums = decisive_sums(mul, *cols[:6])
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        six = [col[:, None] for col in _digits(start, stop, 6, base)]
+        d1, d2, d3 = six[3:]
+        sums = decisive_sums(mul, *six)
         s12, s13, s23, s = sums
-        e = construction_entries(mul, inv, sums, *cols)
-        det = _det3(mul, e)
-        mds_bad += int((_nonzero(det, *_minors(mul, e)) != _nonzero(*sums)).sum())
+        e = construction_entries(mul, inv, sums, *six, x, y)
+        minors = _minors(mul, e)
+        det = _det3(mul, e, minors[6:])
+        mds_bad += int((_nonzero(det, *minors) != _nonzero(*sums)).sum())
         zero_bad += int((_nonzero(*e) != _nonzero(s12, s13, s23)).sum())
         # ADA = diag(s^2/d_i) identically; non-singular exactly when s != 0
         w = [mul((d1, d2, d3)[k], e[3 * k + j]) for k in range(3) for j in range(3)]
         s2 = mul(s, s)
-        ada_ok = np.ones(len(s), dtype=bool)
+        ada_ok = np.ones((stop - start, width), dtype=bool)
         for i in range(3):
             for j in range(3):
                 entry = (mul(e[3 * i + 0], w[0 * 3 + j])
@@ -536,12 +559,16 @@ def sweep_parameter_space(gf: GF, jobs: int = 1) -> SweepResult:
     each: MDS holds iff all four sums are non-zero; A D A equals
     diag(s^2/d_i) entrywise (non-singular exactly when s != 0, which is
     the semi-involutory witness); det A = s^3/(d1 d2 d3); and the
-    entries are nowhere zero iff the three pairwise sums are non-zero."""
+    entries are nowhere zero iff the three pairwise sums are non-zero.
+
+    The (q-1)^6 tuples (a11, a22, a33, d1, d2, d3) are partitioned into
+    spans, and each is crossed with all (q-1)^2 pairs (x, y) by
+    broadcasting, so what depends on the 6-tuple alone is computed once
+    for its (q-1)^2 pairs; nothing is sampled or skipped."""
     _require_char2_desk(gf, max_q=8)
-    total = (gf.q - 1) ** 8
-    parts = _run_partitioned(_sweep_worker, (gf.to_dict(),), total, jobs)
+    parts = _run_partitioned(_sweep_worker, (gf.to_dict(),), (gf.q - 1) ** 6, jobs)
     sums = [sum(p[i] for p in parts) for i in range(4)]
-    return SweepResult(total, *sums)
+    return SweepResult((gf.q - 1) ** 8, *sums)
 
 
 # -- reports ------------------------------------------------------------

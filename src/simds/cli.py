@@ -155,6 +155,18 @@ def _print_reports(reports, fmt: str) -> None:
             print(json.dumps(r.to_dict()))
 
 
+def _budget_exit(reports) -> int | None:
+    """Print a `budget:` line to stderr for each report whose brute force
+    was over budget.  When there is one, return the exit code: a
+    mismatch elsewhere still wins over the budget."""
+    budget_only = [r for r in reports if r.match is None and r.note]
+    for r in budget_only:
+        print(f"budget: {r.set_name}: {r.note}", file=sys.stderr)
+    if not budget_only:
+        return None
+    return EXIT_MISMATCH if any(r.match is False for r in reports) else EXIT_BUDGET
+
+
 def cmd_count(args) -> int:
     gf = _field_from_args(args)
     sets = SET_NAMES if args.set == "all" else tuple(args.set.split(","))
@@ -169,13 +181,10 @@ def cmd_count(args) -> int:
                              long_run=args.long_run, jobs=args.jobs,
                              progress=progress)
     _print_reports(reports, args.format)
-    budget_only = [r for r in reports if r.match is None and r.note]
-    if args.mode == "both" and budget_only and not args.long_run:
-        for r in budget_only:
-            print(f"budget: {r.set_name}: {r.note}", file=sys.stderr)
-        if any(r.match is False for r in reports):
-            return EXIT_MISMATCH
-        return EXIT_BUDGET
+    if args.mode == "both" and not args.long_run:
+        code = _budget_exit(reports)
+        if code is not None:
+            return code
     return EXIT_MISMATCH if any(r.match is False for r in reports) else EXIT_OK
 
 
@@ -183,6 +192,9 @@ def cmd_verify_lemmas(args) -> int:
     gf = _field_from_args(args)
     reports = run_census(gf, ("S", "S1", "S2", "S3", "S4", "S5"), jobs=args.jobs)
     _print_reports(reports, args.format)
+    code = _budget_exit(reports)
+    if code is not None:
+        return code
     parts = {r.set_name: r.brute_force_value for r in reports}
     partition_ok = parts["S"] == sum(parts[k] for k in ("S1", "S2", "S3", "S4", "S5"))
     q = gf.q

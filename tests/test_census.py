@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from simds import (GF, BudgetError, brute_force_S, distinct_diag_inner_count,
-                   enumerate_si_mds, enumeration_stats,
+from simds import (GF, BudgetError, InternalMismatchError, brute_force_S,
+                   distinct_diag_inner_count, enumerate_si_mds, enumeration_stats,
                    exhaustive_matrix_census, formula_count, run_census,
                    sweep_parameter_space)
 from simds import census
@@ -211,8 +211,6 @@ def test_enumerate_gf8(gf8b):
     stats = enumeration_stats(gf8b)
     assert stats.distinct == 403368
     assert stats.tuple_count == brute_force_S(gf8b, "S") * 49
-    assert stats.verify_failures == 0
-    assert stats.spot_check_failures == 0
     # the parameter map collides exactly (q-1)-to-1 on each matrix
     assert stats.tuples_per_matrix == 7
 
@@ -344,3 +342,75 @@ def test_sweep_gf4():
     sw = sweep_parameter_space(GF(2, 2, 0b111))
     assert sw.tuples == 3 ** 8
     assert sw.clean
+
+
+# Constructions with one fault each, for the checks that must catch it.
+
+def _swap_a12_a13(mul, inv, sums, *params):
+    e = construction_entries(mul, inv, sums, *params)
+    e[1], e[2] = e[2], e[1]
+    return e
+
+
+def _a12_plus_a11(mul, inv, sums, *params):
+    e = construction_entries(mul, inv, sums, *params)
+    e[1] = e[1] ^ e[0]
+    return e
+
+
+def _a23_times_x(mul, inv, sums, *params):
+    e = construction_entries(mul, inv, sums, *params)
+    e[5] = mul(e[5], params[6])
+    return e
+
+
+def _failures(sw):
+    return (sw.mds_iff_sums_failures, sw.ada_formula_failures,
+            sw.det_formula_failures, sw.zero_pattern_failures)
+
+
+# (mds_iff_sums, ada_formula, det_formula, zero_pattern) failures over
+# GF(4) and GF(8) (0b1011), as counted by a literal sweep of the 8-tuples
+@pytest.mark.parametrize("fault, at_q4, at_q8", [
+    (_swap_a12_a13, (972, 4860, 1944, 0), (2924418, 5042100, 3226944, 0)),
+    (_a12_plus_a11, (0, 5832, 2916, 486), (2319366, 5647152, 4235364, 504210)),
+    (_a23_times_x, (0, 2916, 972, 0), (1815156, 4235364, 3025260, 0)),
+])
+def test_sweep_counts_construction_faults(gf4, gf8b, monkeypatch, fault,
+                                          at_q4, at_q8):
+    monkeypatch.setattr(census, "construction_entries", fault)
+    for gf, want in ((gf4, at_q4), (gf8b, at_q8)):
+        sw = sweep_parameter_space(gf)
+        assert sw.tuples == (gf.q - 1) ** 8
+        assert _failures(sw) == want
+        assert not sw.clean
+
+
+def test_jobs_do_not_change_sweep(gf4, gf8b, monkeypatch, inline_pool):
+    for construction in (construction_entries, _swap_a12_a13):
+        monkeypatch.setattr(census, "construction_entries", construction)
+        for gf in (gf4, gf8b):
+            one = sweep_parameter_space(gf, jobs=1)
+            assert sweep_parameter_space(gf, jobs=3) == one
+            assert one.tuples == (gf.q - 1) ** 8
+            assert one.clean == (construction is construction_entries)
+    assert len(inline_pool) == 4
+
+
+def test_broken_construction_fails_bulk_verification(gf8b, monkeypatch):
+    monkeypatch.setattr(census, "construction_entries", _swap_a12_a13)
+    with pytest.raises(InternalMismatchError, match="bulk verification"):
+        enumeration_stats(gf8b)
+
+
+def test_broken_construction_fails_scalar_spot_check(gf8b, monkeypatch):
+    """With the bulk verification blinded, the scalar spot check still
+    catches a broken construction."""
+    def blind(mul, e):
+        return np.ones(len(e[0]), dtype=bool)
+
+    monkeypatch.setattr(census, "construction_entries", _swap_a12_a13)
+    monkeypatch.setattr(census, "_si_nowhere_zero_mask", blind)
+    monkeypatch.setattr(census, "_mds_mask", blind)
+    with pytest.raises(InternalMismatchError, match="scalar spot check"):
+        enumeration_stats(gf8b)

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from simds import GF
 from simds.cli import main
@@ -264,6 +267,29 @@ def test_verify_lemmas_gf4(capsys):
                        "all_match": True}
     for line in lines[:-1]:
         assert json.loads(line)["match"] is True
+
+
+def test_verify_lemmas_over_budget_exit_3(capsys):
+    """Above q = 16 the tuple sets are over budget: exit 3 with a
+    `budget:` line, before the inner-triple loop."""
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify-lemmas", "--m", "5", "--poly", "37")
+    assert time.monotonic() - t0 < 2
+    assert code == 3
+    assert err.startswith("budget: S: ")
+    assert [json.loads(line)["brute_force"] for line in out.splitlines()] == [None] * 6
+    code, out, _ = run(capsys, "verify-lemmas", "--m", "3", "--poly", "11")
+    assert code == 0 and json.loads(out.splitlines()[-1])["all_match"] is True
+
+
+def test_python_m_simds():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "simds", "count", "--m", "2",
+                           "--poly", "7", "--set", "SI_MDS"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["match"] is True
 
 
 def test_field_table(capsys):
