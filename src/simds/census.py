@@ -7,9 +7,13 @@ with an independent brute-force verifier at desk scale:
   decisive sums are non-zero), partitioned by the equality pattern of
   the a_ii, enumerated literally over (q-1)^6;
 * the parametrized enumeration, which builds every matrix from the
-  tuples in S x (x, y) and deduplicates by a packed 9-entry key, one
-  (a11, a22) group at a time: both are matrix entries, so two groups
-  never share a matrix, and memory is bounded by one group's keys;
+  tuples in S x (x, y), broadcasting batches of S tuples against the
+  row of all (x, y) as the sweep does, and deduplicates by a packed
+  9-entry key with a sort, one (a11, a22) group at a time: both are
+  matrix entries, so two groups never share a matrix, and memory is
+  bounded by one group's keys.  Each batch's distinct matrices are
+  verified in bulk, and every 4096th matrix of the build order by the
+  scalar checks;
 * the exhaustive matrix census, which judges all (q-1)^9 nowhere-zero
   3x3 matrices and counts the semi-involutory MDS (or involutory MDS)
   ones with no reference to the construction.  It fixes the entries in
@@ -368,16 +372,36 @@ _SPOT_CHECK_STRIDE = 4096
 
 
 def _pack_keys(e, m: int) -> np.ndarray:
+    """One uint64 key per matrix, entry 0 in the top bits: lossless for
+    m-bit entries while 9 m <= 64.  The entries broadcast."""
     key = e[0].astype(np.uint64)
     for col in e[1:]:
         key = (key << np.uint64(m)) | col.astype(np.uint64)
     return key
 
 
+def _unpack_keys(keys, m: int) -> list[np.ndarray]:
+    """The nine uint8 entry arrays that `_pack_keys` packed into `keys`."""
+    mask = np.uint64((1 << m) - 1)
+    return [((keys >> np.uint64(m * (8 - k))) & mask).astype(np.uint8)
+            for k in range(9)]
+
+
 def _unpack_key(key: int, m: int, gf: GF) -> Matrix:
-    mask = (1 << m) - 1
-    vals = [(key >> (m * (8 - i))) & mask for i in range(9)]
+    vals = [int(v) for v in _unpack_keys(np.uint64(key), m)]
     return Matrix(gf, [vals[0:3], vals[3:6], vals[6:9]])
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of `keys`, flattened (as `np.unique`):
+    a sort, then each key that differs from its predecessor."""
+    keys = np.sort(keys, axis=None)
+    if len(keys) == 0:
+        return keys
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 @dataclass(frozen=True)
@@ -399,13 +423,19 @@ class EnumerationStats:
 def _parametrized_groups(gf: GF):
     """Build every matrix from the S tuples crossed with all (x, y), one
     (a11, a22) group at a time in digit order, and yield each group's
-    sorted distinct keys with its tuple count.  Every matrix is verified
-    semi-involutory and MDS in bulk, and every `_SPOT_CHECK_STRIDE`-th
-    one of the build order also by `si_check_3x3`; any failure raises
-    InternalMismatchError."""
+    sorted distinct keys with its tuple count.
+
+    A batch holds up to `_CHUNK // (q-1)^2` S tuples as (R, 1) columns,
+    crossed by broadcasting with the (1, (q-1)^2) row of all (x, y), as
+    in the sweep.  Its matrices are deduplicated by packed key, and each
+    distinct one, unpacked from its key, is verified semi-involutory and
+    MDS in bulk: every built matrix is among them, since packing is
+    lossless.  Every `_SPOT_CHECK_STRIDE`-th matrix of the build order is
+    also checked by `si_check_3x3` and `Matrix.is_mds`.  Any failure
+    raises InternalMismatchError."""
     mul, inv = bulk_ops(gf)
-    xy = nonzero_grid(gf.q, 2)
-    nxy = len(xy[0])
+    x, y = (g[None, :] for g in nonzero_grid(gf.q, 2))
+    nxy = x.shape[1]
     row_batch = max(1, _CHUNK // nxy)
     group = (gf.q - 1) ** 4
     seen = 0
@@ -415,24 +445,28 @@ def _parametrized_groups(gf: GF):
         s_cols = [np.concatenate(parts) for parts in zip(*chunks)]
         keys = [np.empty(0, np.uint64)]  # a group may hold no S tuple
         for start in range(0, len(s_cols[0]), row_batch):
-            cols = [np.repeat(c[start:start + row_batch], nxy) for c in s_cols]
-            reps = len(cols[0]) // nxy
-            e = construction_entries(mul, inv, decisive_sums(mul, *cols), *cols,
-                                     *(np.tile(g, reps) for g in xy))
-            ok = _nonzero(*e) & _si_nowhere_zero_mask(mul, e) & _mds_mask(mul, e)
+            six = [c[start:start + row_batch, None] for c in s_cols]
+            e = construction_entries(mul, inv, decisive_sums(mul, *six), *six, x, y)
+            batch = _distinct(_pack_keys(e, gf.m))
+            d = _unpack_keys(batch, gf.m)
+            ok = _nonzero(*d) & _si_nowhere_zero_mask(mul, d) & _mds_mask(mul, d)
             if not ok.all():
                 raise InternalMismatchError(
                     f"{len(ok) - int(ok.sum())} enumerated matrices failed "
                     f"bulk verification")
-            for flat in range(-seen % _SPOT_CHECK_STRIDE, len(ok), _SPOT_CHECK_STRIDE):
-                mtx = Matrix(gf, [[int(e[3 * i + j][flat]) for j in range(3)]
-                                  for i in range(3)])
+            shape = (len(six[0]), nxy)
+            built = shape[0] * nxy
+            at = np.unravel_index(
+                np.arange(-seen % _SPOT_CHECK_STRIDE, built, _SPOT_CHECK_STRIDE), shape)
+            picked = [np.broadcast_to(v, shape)[at].tolist() for v in e]
+            for vals in zip(*picked):
+                mtx = Matrix(gf, [vals[0:3], vals[3:6], vals[6:9]])
                 if not (si_check_3x3(mtx).si and mtx.is_mds()):
                     raise InternalMismatchError(
                         f"enumerated matrix {mtx!r} failed the scalar spot check")
-            seen += len(ok)
-            keys.append(np.unique(_pack_keys(e, gf.m)))
-        yield np.unique(np.concatenate(keys)), len(s_cols[0]) * nxy
+            seen += built
+            keys.append(batch)
+        yield _distinct(np.concatenate(keys)), len(s_cols[0]) * nxy
 
 
 def _enumeration_budget(gf: GF, long_run: bool) -> None:
@@ -444,11 +478,13 @@ def _enumeration_budget(gf: GF, long_run: bool) -> None:
 
 def enumerate_si_mds(gf: GF, mode: str = "count", long_run: bool = False):
     """Build every matrix from the valid 6-tuples crossed with all
-    (x, y), and count the distinct ones (packed 9-entry keys).
+    (x, y), and count the distinct ones (packed 9-entry keys, sorted
+    and deduplicated per batch and per (a11, a22) group).
 
-    Every built matrix is verified semi-involutory and MDS in bulk, with
-    a scalar `si_check_3x3` spot check on a deterministic subsample; any
-    failure raises InternalMismatchError.  `mode="emit"` returns a
+    Every distinct matrix of each batch, and so every built matrix, is
+    verified semi-involutory and MDS in bulk, and every 4096th matrix
+    of the build order also by the scalar `si_check_3x3` and `is_mds`;
+    any failure raises InternalMismatchError.  `mode="emit"` returns a
     generator of the distinct matrices in ascending key order, each
     re-verified as it is produced.
     """

@@ -414,3 +414,56 @@ def test_broken_construction_fails_scalar_spot_check(gf8b, monkeypatch):
     monkeypatch.setattr(census, "_mds_mask", blind)
     with pytest.raises(InternalMismatchError, match="scalar spot check"):
         enumeration_stats(gf8b)
+
+
+def test_one_faulty_tuple_fails_bulk_verification(gf8b, monkeypatch):
+    """A fault in one built tuple of one batch is caught, although the
+    six other tuples that build the same matrix are intact: a12 is
+    doubled, which breaks the cross-product equality."""
+    calls = []
+
+    def one_fault(mul, inv, sums, *params):
+        e = construction_entries(mul, inv, sums, *params)
+        calls.append(None)
+        if len(calls) == 1:
+            shape = np.broadcast_shapes(*(np.shape(v) for v in e))
+            a12 = np.array(np.broadcast_to(e[1], shape))
+            a12.flat[1] = gf8b.mul(int(a12.flat[1]), 2)
+            e[1] = a12
+        return e
+
+    monkeypatch.setattr(census, "construction_entries", one_fault)
+    with pytest.raises(InternalMismatchError,
+                       match="^1 enumerated matrices failed bulk verification"):
+        enumeration_stats(gf8b)
+
+
+def test_distinct_equals_unique():
+    rng = np.random.default_rng(2024)
+    rand = np.concatenate([rng.integers(0, 2 ** 64, 2997, dtype=np.uint64),
+                           rng.integers(0, 50, 2000, dtype=np.uint64),
+                           np.full(3, 2 ** 64 - 1, dtype=np.uint64)])
+    rng.shuffle(rand)
+    for keys in (np.empty(0, np.uint64), np.array([5], np.uint64),
+                 np.full(100, 9, np.uint64), rand, rand.reshape(50, 100)):
+        got = census._distinct(keys)
+        assert got.dtype == keys.dtype
+        assert np.array_equal(got, np.unique(keys))
+    assert census._distinct(rand)[-1] == 2 ** 64 - 1
+
+
+# 9 m <= 64 bits: m = 7 is the largest width a uint64 key holds
+@pytest.mark.parametrize("m, poly", [(2, 0b111), (3, 0b1011), (4, 0b10011),
+                                     (7, 0b10000011)])
+def test_pack_unpack_round_trip(m, poly):
+    rng = np.random.default_rng(m)
+    e = [rng.integers(0, 2 ** m, 1000, dtype=np.uint8) for _ in range(9)]
+    keys = _pack_keys(e, m)
+    back = census._unpack_keys(keys, m)
+    assert all(col.dtype == np.uint8 for col in back)
+    assert all(np.array_equal(a, b) for a, b in zip(back, e))
+    gf = GF(2, m, poly)
+    for i in range(50):
+        want = [int(col[i]) for col in back]
+        assert census._unpack_key(int(keys[i]), m, gf).rows == (
+            tuple(want[0:3]), tuple(want[3:6]), tuple(want[6:9]))

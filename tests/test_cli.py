@@ -322,3 +322,22 @@ def test_check_1x1_beyond_table_size(capsys):
 def test_pretty_format_is_valid_json(capsys):
     code, out, _ = run(capsys, "check", "--json", REMARK, "--format", "pretty")
     assert code == 0 and json.loads(out)["si"] is True
+
+
+def test_count_long_run_over_budget_exit_3(capsys):
+    """`--long-run` lifts only the q = 16 enumeration cap: a brute force
+    still over budget exits 3 with a `budget:` line per set."""
+    for argv, sets in ((("--m", "5", "--poly", "37", "--set", "SI_MDS,S"),
+                        ["S", "SI_MDS"]),
+                       (("--m", "9", "--poly", "529", "--set", "INV_MDS",
+                         "--exhaustive"), ["INV_MDS"])):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "count", *argv, "--long-run")
+        assert time.monotonic() - t0 < 2
+        assert code == 3
+        assert [line.split(": ")[1] for line in err.splitlines()] == sets
+        assert all(json.loads(line)["brute_force"] is None
+                   for line in out.splitlines())
+    code, out, _ = run(capsys, "count", "--m", "3", "--poly", "11",
+                       "--set", "SI_MDS", "--long-run")
+    assert code == 0 and json.loads(out)["match"] is True
