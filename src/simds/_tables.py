@@ -2,10 +2,11 @@
 
 `mul_table` and `inv_table` are the field's own product and inverse
 tables (built by `GF` for q <= TABLE_MAX_Q) as read-only uint8 arrays.
-`bulk_ops` wraps them as the callables mul(a, b) and inv(a) that the
-construction formulas and every bulk kernel in `census` and `si` are
-written over.  Both are one `ndarray.take` on a flat table, several
-times faster than a 2-D fancy index: mul(a, b) reads the product table
+`bulk_ops` wraps them as the field's arithmetic over arrays, under
+`GF`'s own method names, so a kernel written over one field argument
+`f` runs on ints with f = gf and on arrays with f = bulk_ops(gf).  mul
+and inv are each one `ndarray.take` on a flat table, several times
+faster than a 2-D fancy index: mul(a, b) reads the product table
 raveled, at index (a << m) | b.  That index is built as uint16, whatever
 q is, because a uint8 `a << m` overflows once m >= 5.  It is built as a
 new array, not in place in the shifted copy of `a`, so that a and b
@@ -15,7 +16,9 @@ Only characteristic 2 is supported here (addition is XOR).
 
 from __future__ import annotations
 
+import operator
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,13 +50,16 @@ def inv_table(gf: GF) -> np.ndarray:
     return _frozen(np.array(gf._inv_table, dtype=np.uint8))
 
 
-def bulk_ops(gf: GF):
-    """(mul, inv): field multiplication and inversion over arrays of
-    elements, by lookup in `mul_table` and `inv_table`.  Results are
-    uint8; the operands of mul broadcast."""
+@cache
+def bulk_ops(gf: GF) -> SimpleNamespace:
+    """The field's mul, inv, add and sub over arrays of elements: mul
+    and inv by lookup in `mul_table` and `inv_table`, add and sub as
+    XOR.  Results are uint8; the operands of mul, add and sub
+    broadcast."""
     flat, m = mul_table(gf).ravel(), gf.m
-    return ((lambda a, b: flat.take((np.asarray(a, np.uint16) << m) | b)),
-            inv_table(gf).take)
+    return SimpleNamespace(
+        mul=lambda a, b: flat.take((np.asarray(a, np.uint16) << m) | b),
+        inv=inv_table(gf).take, add=operator.xor, sub=operator.xor)
 
 
 def _digits(start: int, stop: int, ndigits: int, base: int) -> list[np.ndarray]:

@@ -12,8 +12,8 @@ with an independent brute-force verifier at desk scale:
   9-entry key with a sort, one (a11, a22) group at a time: both are
   matrix entries, so two groups never share a matrix, and memory is
   bounded by one group's keys.  Each batch's distinct matrices are
-  verified in bulk, and every 4096th matrix of the build order by the
-  scalar checks;
+  verified in bulk by the entry-level test, and every 4096th matrix of
+  the build order by `Matrix.is_mds` and the independent `si_oracle`;
 * the exhaustive matrix census, which judges all (q-1)^9 nowhere-zero
   3x3 matrices and counts the semi-involutory MDS (or involutory MDS)
   ones with no reference to the construction.  It fixes the entries in
@@ -31,11 +31,12 @@ Bulk work runs on numpy lookup tables in fixed-size chunks.  The tuple
 sets, the matrix census and the sweep can be partitioned across
 processes by contiguous index ranges (of the 6-tuples, for the sweep),
 and their counts are independent of the partitioning; the enumeration
-runs in one process.  The tuple sets, the parametrized enumeration and
-the parameter sweep take the decisive sums and the matrix entries from
-`construct.decisive_sums` and `construct.construction_entries`; the
-exhaustive matrix census uses neither, nor `si_check_3x3`.  All 2x2
-minors and 3x3 determinants over arrays come from `_minor` and `_det3`.
+runs in one process.  The kernels take the field argument
+f = `_tables.bulk_ops(gf)`.  The tuple sets, the enumeration and the
+sweep take the construction's sums, entries, det and A D A diagonal
+from `construct`; the exhaustive matrix census reads none of them and
+judges semi-involutory matrices by the entry-level test's conditions
+in `si`.  Minors and determinants come from `matrix`.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ from itertools import product
 import numpy as np
 
 from ._tables import _digits, bulk_ops, nonzero_grid
-from .construct import construction_entries, decisive_sums
+from .construct import construction_entries, decisive_sums, det_and_ada
 from .errors import BudgetError, InternalMismatchError
 from .field import GF
-from .matrix import Matrix
-from .si import si_check_3x3
+from .matrix import Matrix, det3, minor, minors
+from .si import nowhere_zero_si, product_det, si_oracle, triangle_products_agree
 
 SET_NAMES = ("S", "S1", "S2", "S3", "S4", "S5", "SI_MDS", "INV_MDS")
 
@@ -131,9 +132,9 @@ def _reported(results, n: int, progress) -> list:
 
 # -- the 6-tuple sets ---------------------------------------------------
 
-def _tuple_set_masks(mul, cols: list[np.ndarray], subset: str) -> np.ndarray:
+def _tuple_set_masks(f, cols: list[np.ndarray], subset: str) -> np.ndarray:
     a11, a22, a33 = cols[:3]
-    mask = _nonzero(*decisive_sums(mul, *cols))
+    mask = _nonzero(*decisive_sums(f, *cols))
     if subset == "S":
         return mask
     if subset == "S1":
@@ -152,10 +153,10 @@ def _tuple_set_masks(mul, cols: list[np.ndarray], subset: str) -> np.ndarray:
 def _tuple_set_chunks(gf: GF, subset: str, lo: int, hi: int):
     """(columns, mask of the named set) for each chunk of the 6-tuples
     [lo, hi) in digit order."""
-    mul, _ = bulk_ops(gf)
+    f = bulk_ops(gf)
     for start in range(lo, hi, _CHUNK):
         cols = _digits(start, min(start + _CHUNK, hi), 6, gf.q - 1)
-        yield cols, _tuple_set_masks(mul, cols, subset)
+        yield cols, _tuple_set_masks(f, cols, subset)
 
 
 def _count_tuples_worker(args) -> int:
@@ -181,16 +182,15 @@ def distinct_diag_inner_count(gf: GF, a11: int, a22: int, a33: int) -> int:
     for d1, d2, d3 in product(gf.elements(True), repeat=3):
         if d1 == d2 or d1 == d3 or d2 == d3:
             continue
-        if 0 in decisive_sums(gf.mul, a11, a22, a33, d1, d2, d3):
+        if 0 in decisive_sums(gf, a11, a22, a33, d1, d2, d3):
             continue
         count += 1
     return count
 
 
-# -- shared 3x3 condition kernels --------------------------------------
+# -- 3x3 condition kernels ----------------------------------------------
 #
-# Entry k of a 3x3 matrix is a_{i+1, j+1} with k = 3 i + j; `mul` is the
-# array multiplication of `bulk_ops`.
+# Entry k of a 3x3 matrix is a_{i+1, j+1} with k = 3 i + j.
 
 def _nonzero(*values) -> np.ndarray:
     """Whether every value is non-zero, over the broadcast shape of the
@@ -201,51 +201,16 @@ def _nonzero(*values) -> np.ndarray:
     return mask
 
 
-def _minor(mul, e, rows, cols) -> np.ndarray:
-    """The 2x2 minor on rows (r0, r1) and columns (c0, c1)."""
-    (r0, r1), (c0, c1) = rows, cols
-    return mul(e[3 * r0 + c0], e[3 * r1 + c1]) ^ mul(e[3 * r0 + c1], e[3 * r1 + c0])
+def _mds_mask(f, e) -> np.ndarray:
+    """Every 2x2 minor and the determinant are non-zero."""
+    m = minors(f, e)
+    return _nonzero(det3(f, e, m[6:]), *m)
 
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-def _det3(mul, e, row12=None) -> np.ndarray:
-    """Cofactor expansion along row 0.  `row12` holds the minors on rows
-    (1, 2) and columns (0, 1), (0, 2), (1, 2), when the caller has them
-    (the last three of `_minors`)."""
-    if row12 is None:
-        row12 = [_minor(mul, e, (1, 2), cols) for cols in _PAIRS]
-    m01, m02, m12 = row12
-    return mul(e[0], m12) ^ mul(e[1], m02) ^ mul(e[2], m01)
-
-
-def _minors(mul, e) -> list:
-    """The nine 2x2 minors, row pairs outermost (the order of
-    `construct.minor_formulas`)."""
-    return [_minor(mul, e, rows, cols) for rows in _PAIRS for cols in _PAIRS]
-
-
-def _mds_mask(mul, e) -> np.ndarray:
-    minors = _minors(mul, e)
-    return _nonzero(_det3(mul, e, minors[6:]), *minors)
-
-
-def _cross_equal(mul, e) -> np.ndarray:
-    """The triangle products a12 a23 a31 and a13 a21 a32 agree."""
-    return mul(mul(e[1], e[5]), e[6]) == mul(mul(e[2], e[3]), e[7])
-
-
-# the entry products (k, l) of `si.si_product_det`'s matrix, row by row
-_PRODUCT_ENTRIES = ((0, 3), (3, 4), (5, 6), (0, 6), (3, 7), (6, 8),
-                    (1, 6), (4, 7), (7, 8))
-
-
-def _si_nowhere_zero_mask(mul, e) -> np.ndarray:
-    """Cross-product equality, vanishing product-matrix determinant and
-    non-vanishing determinant, for arrays of nowhere-zero entries."""
-    x = [mul(e[k], e[l]) for k, l in _PRODUCT_ENTRIES]
-    return _cross_equal(mul, e) & (_det3(mul, x) == 0) & (_det3(mul, e) != 0)
+def _product_entry(f, a, b, i: int, j: int) -> np.ndarray:
+    """Entry (i, j) of A B: row i of A times column j of B."""
+    return (f.mul(a[3 * i], b[j]) ^ f.mul(a[3 * i + 1], b[3 + j])
+            ^ f.mul(a[3 * i + 2], b[6 + j]))
 
 
 # -- exhaustive matrix census -------------------------------------------
@@ -255,40 +220,36 @@ def _si_nowhere_zero_mask(mul, e) -> np.ndarray:
 # live in dicts keyed by entry index, so a test that reads an entry not
 # yet known raises KeyError instead of reading garbage.
 
-def _square_entry(mul, e, i: int, j: int) -> np.ndarray:
-    """Entry (i, j) of A^2: row i of A times column j of A."""
-    return (mul(e[3 * i], e[j]) ^ mul(e[3 * i + 1], e[3 + j])
-            ^ mul(e[3 * i + 2], e[6 + j]))
-
-
-def _rest_of_identity(mul, e) -> np.ndarray:
+def _rest_of_identity(f, e) -> np.ndarray:
     """The six entries of A^2 = I that no earlier INV_MDS stage tests."""
     ok = np.ones(len(e[0]), dtype=bool)
     for i, j in ((0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)):
-        ok &= _square_entry(mul, e, i, j) == int(i == j)
+        ok &= _product_entry(f, e, e, i, j) == int(i == j)
     return ok
 
 
 # (entries added, tests applied in order once they are known).  Every
-# SI_MDS candidate still meets the cross-product equality and all nine
-# 2x2 minors of `_mds_mask` before the unchanged full-matrix kernels; the
-# early tests only drop candidates sooner.  Every INV_MDS candidate still
-# meets all nine entries of A^2 = I and `_mds_mask`.
+# SI_MDS candidate still meets both conditions of `si.nowhere_zero_si`
+# (the triangle products as soon as the off-diagonal entries are known)
+# and all nine 2x2 minors of `_mds_mask` before the full-matrix kernels;
+# the early tests only drop candidates sooner, and the non-singularity
+# the entry-level test presumes is part of `_mds_mask`.  Every INV_MDS
+# candidate still meets all nine entries of A^2 = I and `_mds_mask`.
 _STAGES = {
     "SI_MDS": (
-        ((1, 2, 3, 5, 6, 7), (_cross_equal,)),
-        ((0,), (lambda mul, e: _nonzero(_minor(mul, e, (0, 1), (0, 2)),
-                                        _minor(mul, e, (0, 2), (0, 1))),)),
-        ((4,), (lambda mul, e: _nonzero(_minor(mul, e, (0, 1), (1, 2)),
-                                        _minor(mul, e, (1, 2), (0, 1))),)),
-        ((8,), (lambda mul, e: _nonzero(_minor(mul, e, (0, 2), (1, 2)),
-                                        _minor(mul, e, (1, 2), (0, 2))),
-                _si_nowhere_zero_mask, _mds_mask)),
+        ((1, 2, 3, 5, 6, 7), (triangle_products_agree,)),
+        ((0,), (lambda f, e: _nonzero(minor(f, e, (0, 1), (0, 2)),
+                                      minor(f, e, (0, 2), (0, 1))),)),
+        ((4,), (lambda f, e: _nonzero(minor(f, e, (0, 1), (1, 2)),
+                                      minor(f, e, (1, 2), (0, 1))),)),
+        ((8,), (lambda f, e: _nonzero(minor(f, e, (0, 2), (1, 2)),
+                                      minor(f, e, (1, 2), (0, 2))),
+                lambda f, e: product_det(f, e) == 0, _mds_mask)),
     ),
     "INV_MDS": (
-        ((0, 1, 2, 3, 6), (lambda mul, e: _square_entry(mul, e, 0, 0) == 1,)),
-        ((4, 7), (lambda mul, e: _square_entry(mul, e, 0, 1) == 0,)),
-        ((5,), (lambda mul, e: _square_entry(mul, e, 1, 0) == 0,)),
+        ((0, 1, 2, 3, 6), (lambda f, e: _product_entry(f, e, e, 0, 0) == 1,)),
+        ((4, 7), (lambda f, e: _product_entry(f, e, e, 0, 1) == 0,)),
+        ((5,), (lambda f, e: _product_entry(f, e, e, 1, 0) == 0,)),
         ((8,), (_rest_of_identity, _mds_mask)),
     ),
 }
@@ -303,7 +264,7 @@ _SCAN_MAX_Q = {"SI_MDS": 8, "INV_MDS": 16}
 _SCAN_SPANS = 8
 
 
-def _staged_count(mul, q: int, stages, lo: int, hi: int) -> int:
+def _staged_count(f, q: int, stages, lo: int, hi: int) -> int:
     """Count the candidates passing every stage's tests, over the rows
     [lo, hi) of the first stage's entries (all in F_q^*, digit order).
     Each later stage crosses the survivors with every non-zero value of
@@ -313,13 +274,13 @@ def _staged_count(mul, q: int, stages, lo: int, hi: int) -> int:
     count = 0
     for start in range(lo, hi, _CHUNK):
         cols = _digits(start, min(start + _CHUNK, hi), len(first), q - 1)
-        count += _descend(mul, stages, grids, 0, dict(zip(first, cols)))
+        count += _descend(f, stages, grids, 0, dict(zip(first, cols)))
     return count
 
 
-def _descend(mul, stages, grids, k: int, e: dict) -> int:
+def _descend(f, stages, grids, k: int, e: dict) -> int:
     for test in stages[k][1]:
-        keep = np.flatnonzero(test(mul, e))
+        keep = np.flatnonzero(test(f, e))
         e = {pos: col[keep] for pos, col in e.items()}
     n = len(keep)
     if k + 1 == len(stages):
@@ -333,14 +294,14 @@ def _descend(mul, stages, grids, k: int, e: dict) -> int:
                  for pos, col in e.items()}
         reps = min(step, n - start)
         block.update(zip(stages[k + 1][0], (np.tile(g, reps) for g in grid)))
-        count += _descend(mul, stages, grids, k + 1, block)
+        count += _descend(f, stages, grids, k + 1, block)
     return count
 
 
 def _matrix_census_worker(args) -> int:
     field_dict, target, lo, hi = args
     gf = GF.from_dict(field_dict)
-    return _staged_count(bulk_ops(gf)[0], gf.q, _STAGES[target], lo, hi)
+    return _staged_count(bulk_ops(gf), gf.q, _STAGES[target], lo, hi)
 
 
 def exhaustive_matrix_census(gf: GF, target: str, jobs: int = 1,
@@ -372,8 +333,11 @@ _SPOT_CHECK_STRIDE = 4096
 
 
 def _pack_keys(e, m: int) -> np.ndarray:
-    """One uint64 key per matrix, entry 0 in the top bits: lossless for
-    m-bit entries while 9 m <= 64.  The entries broadcast."""
+    """One uint64 key per matrix, entry 0 in the top bits, for m-bit
+    entries with 9 m <= 64 (m <= 7); a larger m raises ValueError.  The
+    entries broadcast."""
+    if 9 * m > 64:
+        raise ValueError(f"nine {m}-bit entries do not fit a 64-bit key")
     key = e[0].astype(np.uint64)
     for col in e[1:]:
         key = (key << np.uint64(m)) | col.astype(np.uint64)
@@ -428,12 +392,13 @@ def _parametrized_groups(gf: GF):
     A batch holds up to `_CHUNK // (q-1)^2` S tuples as (R, 1) columns,
     crossed by broadcasting with the (1, (q-1)^2) row of all (x, y), as
     in the sweep.  Its matrices are deduplicated by packed key, and each
-    distinct one, unpacked from its key, is verified semi-involutory and
-    MDS in bulk: every built matrix is among them, since packing is
-    lossless.  Every `_SPOT_CHECK_STRIDE`-th matrix of the build order is
-    also checked by `si_check_3x3` and `Matrix.is_mds`.  Any failure
-    raises InternalMismatchError."""
-    mul, inv = bulk_ops(gf)
+    distinct one, unpacked from its key, is verified semi-involutory (by
+    the entry-level test) and MDS in bulk: every built matrix is among
+    them, since packing is lossless.  Every `_SPOT_CHECK_STRIDE`-th
+    matrix of the build order is also checked by `Matrix.is_mds` and
+    then `si_oracle`, which refuses the singular matrices `is_mds`
+    rejects first.  Any failure raises InternalMismatchError."""
+    f = bulk_ops(gf)
     x, y = (g[None, :] for g in nonzero_grid(gf.q, 2))
     nxy = x.shape[1]
     row_batch = max(1, _CHUNK // nxy)
@@ -446,10 +411,10 @@ def _parametrized_groups(gf: GF):
         keys = [np.empty(0, np.uint64)]  # a group may hold no S tuple
         for start in range(0, len(s_cols[0]), row_batch):
             six = [c[start:start + row_batch, None] for c in s_cols]
-            e = construction_entries(mul, inv, decisive_sums(mul, *six), *six, x, y)
+            e = construction_entries(f, decisive_sums(f, *six), *six, x, y)
             batch = _distinct(_pack_keys(e, gf.m))
             d = _unpack_keys(batch, gf.m)
-            ok = _nonzero(*d) & _si_nowhere_zero_mask(mul, d) & _mds_mask(mul, d)
+            ok = _nonzero(*d) & nowhere_zero_si(f, d) & _mds_mask(f, d)
             if not ok.all():
                 raise InternalMismatchError(
                     f"{len(ok) - int(ok.sum())} enumerated matrices failed "
@@ -461,7 +426,7 @@ def _parametrized_groups(gf: GF):
             picked = [np.broadcast_to(v, shape)[at].tolist() for v in e]
             for vals in zip(*picked):
                 mtx = Matrix(gf, [vals[0:3], vals[3:6], vals[6:9]])
-                if not (si_check_3x3(mtx).si and mtx.is_mds()):
+                if not (mtx.is_mds() and si_oracle(mtx).si):
                     raise InternalMismatchError(
                         f"enumerated matrix {mtx!r} failed the scalar spot check")
             seen += built
@@ -482,11 +447,12 @@ def enumerate_si_mds(gf: GF, mode: str = "count", long_run: bool = False):
     and deduplicated per batch and per (a11, a22) group).
 
     Every distinct matrix of each batch, and so every built matrix, is
-    verified semi-involutory and MDS in bulk, and every 4096th matrix
-    of the build order also by the scalar `si_check_3x3` and `is_mds`;
-    any failure raises InternalMismatchError.  `mode="emit"` returns a
-    generator of the distinct matrices in ascending key order, each
-    re-verified as it is produced.
+    verified semi-involutory and MDS in bulk by the entry-level test,
+    and every 4096th matrix of the build order also by the scalar
+    `is_mds` and the independent `si_oracle`; any failure raises
+    InternalMismatchError.  `mode="emit"` returns a generator of the
+    distinct matrices in ascending key order, each re-verified the same
+    way as it is produced.
     """
     if mode not in ("count", "emit"):
         raise ValueError("mode must be 'count' or 'emit'")
@@ -520,7 +486,7 @@ def _emit_si_mds(gf: GF):
     for keys in _sorted_keys(gf):
         for key in keys:
             mtx = _unpack_key(int(key), gf.m, gf)
-            if not (si_check_3x3(mtx).si and mtx.is_mds()):
+            if not (mtx.is_mds() and si_oracle(mtx).si):
                 raise InternalMismatchError("emitted matrix failed re-verification")
             yield mtx
 
@@ -550,13 +516,14 @@ def _sweep_worker(args) -> tuple:
 
     A block holds up to `_CHUNK // (q-1)^2` 6-tuples as (R, 1) columns;
     (x, y) is a (1, (q-1)^2) row, and every bulk operation broadcasts.
-    Whatever reads only the 6-tuple (the sums, r12/r13/r21, the A D A
-    diagonal targets, the predicted det) is an (R, 1) array, computed
-    once per 6-tuple; every entry, minor and comparison that reads x or
-    y is an (R, (q-1)^2) array, computed for each of the 8-tuples."""
+    Whatever reads only the 6-tuple (the sums, r12/r13/r21, the
+    predicted det and A D A diagonal of `construct.det_and_ada`) is an
+    (R, 1) array, computed once per 6-tuple; every entry, minor and
+    comparison that reads x or y is an (R, (q-1)^2) array, computed for
+    each of the 8-tuples."""
     field_dict, lo, hi = args
     gf = GF.from_dict(field_dict)
-    mul, inv = bulk_ops(gf)
+    f = bulk_ops(gf)
     base = gf.q - 1
     x, y = (g[None, :] for g in nonzero_grid(gf.q, 2))
     width = x.shape[1]
@@ -565,27 +532,21 @@ def _sweep_worker(args) -> tuple:
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
         six = [col[:, None] for col in _digits(start, stop, 6, base)]
-        d1, d2, d3 = six[3:]
-        sums = decisive_sums(mul, *six)
+        d = six[3:]
+        sums = decisive_sums(f, *six)
         s12, s13, s23, s = sums
-        e = construction_entries(mul, inv, sums, *six, x, y)
-        minors = _minors(mul, e)
-        det = _det3(mul, e, minors[6:])
-        mds_bad += int((_nonzero(det, *minors) != _nonzero(*sums)).sum())
+        e = construction_entries(f, sums, *six, x, y)
+        m = minors(f, e)
+        det = det3(f, e, m[6:])
+        mds_bad += int((_nonzero(det, *m) != _nonzero(*sums)).sum())
         zero_bad += int((_nonzero(*e) != _nonzero(s12, s13, s23)).sum())
         # ADA = diag(s^2/d_i) identically; non-singular exactly when s != 0
-        w = [mul((d1, d2, d3)[k], e[3 * k + j]) for k in range(3) for j in range(3)]
-        s2 = mul(s, s)
+        want_det, want_ada = det_and_ada(f, s, *d)
+        da = [f.mul(d[k], e[3 * k + j]) for k in range(3) for j in range(3)]
         ada_ok = np.ones((stop - start, width), dtype=bool)
-        for i in range(3):
-            for j in range(3):
-                entry = (mul(e[3 * i + 0], w[0 * 3 + j])
-                         ^ mul(e[3 * i + 1], w[1 * 3 + j])
-                         ^ mul(e[3 * i + 2], w[2 * 3 + j]))
-                want = mul(s2, inv((d1, d2, d3)[i])) if i == j else 0
-                ada_ok &= entry == want
+        for i, j in product(range(3), repeat=2):
+            ada_ok &= _product_entry(f, e, da, i, j) == (want_ada[i] if i == j else 0)
         si_bad += int((~ada_ok).sum())
-        want_det = mul(mul(s2, s), inv(mul(mul(d1, d2), d3)))
         det_bad += int((det != want_det).sum())
     return mds_bad, si_bad, det_bad, zero_bad
 

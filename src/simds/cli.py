@@ -174,17 +174,12 @@ def cmd_count(args) -> int:
     if args.progress:
         def progress(frac):
             print(f"progress {frac:.0%}", file=sys.stderr)
-    if args.mode == "formula":
-        reports = run_census(gf, sets, mode="formula", jobs=args.jobs)
-    else:
-        reports = run_census(gf, sets, mode="both", exhaustive=args.exhaustive,
-                             long_run=args.long_run, jobs=args.jobs,
-                             progress=progress)
+    reports = run_census(gf, sets, mode=args.mode, exhaustive=args.exhaustive,
+                         long_run=args.long_run, jobs=args.jobs, progress=progress)
     _print_reports(reports, args.format)
-    if args.mode == "both":
-        code = _budget_exit(reports)
-        if code is not None:
-            return code
+    code = _budget_exit(reports)
+    if code is not None:
+        return code
     return EXIT_MISMATCH if any(r.match is False for r in reports) else EXIT_OK
 
 

@@ -11,12 +11,12 @@ whose behaviour is governed by the sums s12 = a11d1+a22d2,
 s13 = a11d1+a33d3, s23 = a22d2+a33d3 and s = a11d1+a22d2+a33d3:
 with s != 0 the matrix is semi-involutory with associated diagonal
 diag(d1, d2, d3), and it is MDS exactly when all four sums are
-non-zero.  The sums and the nine entries have one implementation
-each, `decisive_sums` and `construction_entries`, written over
-callables mul(a, b) and inv(a): `build_matrix` passes the scalar field
-operations, and the bulk census paths pass table lookups over numpy
-arrays.  Also included: the classic char-2 involutory family
-I + aA + bB built from two rank-one patterns.
+non-zero.  The sums, the nine entries and the predicted det and A D A
+diagonal have one implementation each, `decisive_sums`,
+`construction_entries` and `det_and_ada`, written over a field argument
+`f`: the scalar functions here pass the field, and the bulk census
+paths pass `_tables.bulk_ops(gf)`.  Also included: the classic char-2
+involutory family I + aA + bB built from two rank-one patterns.
 """
 
 from __future__ import annotations
@@ -93,20 +93,21 @@ class SumConditions:
                 "nonzero": list(self.flags)}
 
 
-def decisive_sums(mul, a11, a22, a33, d1, d2, d3) -> tuple:
+def decisive_sums(f, a11, a22, a33, d1, d2, d3) -> tuple:
     """(s12, s13, s23, s) from the products t_i = a_ii d_i.
 
-    Written over `mul(a, b)` with XOR as addition, so the same lines take
-    Python ints (`gf.mul`) or numpy arrays (`_tables.bulk_ops`)."""
-    t1, t2, t3 = mul(a11, d1), mul(a22, d2), mul(a33, d3)
+    Written over `f.mul` with XOR as addition, so the same lines take
+    Python ints (f = gf) or numpy arrays (f = `_tables.bulk_ops(gf)`)."""
+    t1, t2, t3 = f.mul(a11, d1), f.mul(a22, d2), f.mul(a33, d3)
     s12 = t1 ^ t2
     return s12, t1 ^ t3, t2 ^ t3, s12 ^ t3
 
 
-def construction_entries(mul, inv, sums, a11, a22, a33, d1, d2, d3, x, y) -> list:
+def construction_entries(f, sums, a11, a22, a33, d1, d2, d3, x, y) -> list:
     """The nine entries of the constructed matrix, row by row, given
     `sums` = decisive_sums(...) of the same parameters.  Like
-    `decisive_sums`, it takes ints (`gf.mul`, `gf.inv`) or arrays."""
+    `decisive_sums`, it takes ints or arrays."""
+    mul, inv = f.mul, f.inv
     s12, s13, s23, _ = sums
     r12 = mul(s13, inv(d2))
     r13 = mul(s12, inv(d3))
@@ -117,8 +118,18 @@ def construction_entries(mul, inv, sums, a11, a22, a33, d1, d2, d3, x, y) -> lis
             mul(r21, inv(xy)), mul(r12, inv(y)), a33]
 
 
+def det_and_ada(f, s, d1, d2, d3) -> tuple:
+    """(det A, diagonal of A D A) in closed form from the sum s of
+    `decisive_sums`: det = s^3 / (d1 d2 d3) and (ADA)_ii = s^2 / d_i,
+    which are 0 when s = 0.  Like `decisive_sums`, it takes ints or
+    arrays."""
+    s2 = f.mul(s, s)
+    det = f.mul(f.mul(s2, s), f.inv(f.mul(f.mul(d1, d2), d3)))
+    return det, tuple(f.mul(s2, f.inv(d)) for d in (d1, d2, d3))
+
+
 def sum_conditions(p: SiParams) -> SumConditions:
-    return SumConditions(*decisive_sums(p.gf.mul, p.a11, p.a22, p.a33,
+    return SumConditions(*decisive_sums(p.gf, p.a11, p.a22, p.a33,
                                         p.d1, p.d2, p.d3))
 
 
@@ -128,21 +139,15 @@ def build_matrix(p: SiParams) -> Matrix:
     No condition on the sums is imposed here: choices with s = 0
     legitimately produce a singular matrix."""
     gf = p.gf
-    sums = decisive_sums(gf.mul, p.a11, p.a22, p.a33, p.d1, p.d2, p.d3)
-    e = construction_entries(gf.mul, gf.inv, sums, p.a11, p.a22, p.a33,
+    sums = decisive_sums(gf, p.a11, p.a22, p.a33, p.d1, p.d2, p.d3)
+    e = construction_entries(gf, sums, p.a11, p.a22, p.a33,
                              p.d1, p.d2, p.d3, p.x, p.y)
     return Matrix(gf, [e[0:3], e[3:6], e[6:9]])
 
 
 def predicted_invariants(p: SiParams) -> tuple[int, tuple[int, int, int]]:
-    """(det, diagonal of A D A) in closed form:
-    det = s^3 / (d1 d2 d3) and (ADA)_ii = s^2 / d_i."""
-    gf = p.gf
-    s = sum_conditions(p).s
-    det = gf.mul(gf.pow(s, 3), gf.inv(gf.mul(gf.mul(p.d1, p.d2), p.d3))) if s else 0
-    s2 = gf.mul(s, s)
-    ada = tuple(gf.div(s2, d) if s else 0 for d in (p.d1, p.d2, p.d3))
-    return det, ada
+    """(det, diagonal of A D A) of the constructed matrix."""
+    return det_and_ada(p.gf, sum_conditions(p).s, p.d1, p.d2, p.d3)
 
 
 def minor_formulas(p: SiParams) -> tuple:
@@ -198,7 +203,7 @@ def extract_xy(A: Matrix, D: Diagonal) -> tuple[int, int] | None:
         raise ValueError("D must be a non-singular 3-entry diagonal")
     r = A.rows
     d1, d2, d3 = D.entries
-    sums = decisive_sums(gf.mul, r[0][0], r[1][1], r[2][2], d1, d2, d3)
+    sums = decisive_sums(gf, r[0][0], r[1][1], r[2][2], d1, d2, d3)
     if 0 in sums:
         return None
     s12, s13, _, _ = sums

@@ -4,7 +4,10 @@ Matrices and diagonal matrices are immutable values carrying their
 field; every operation returns a new object, so they are safe to share
 between parallel workers.  Determinants use closed-form cofactor
 expansion up to 3x3 (the hot size here) and Gaussian elimination above
-that; inverses use Gauss-Jordan elimination at every size.  `is_mds`
+that; inverses use Gauss-Jordan elimination at every size.  The 2x2
+and 3x3 forms, `det2`, `minor` and `det3`, are written over a field
+argument `f`, so the same lines judge one matrix of ints (f = gf) and
+arrays of matrices (f = `_tables.bulk_ops(gf)`).  `is_mds`
 examines at most MDS_MINOR_BUDGET minors, so a check ends in bounded
 time at any n.
 """
@@ -89,13 +92,9 @@ class Matrix:
         if n == 1:
             return r[0][0]
         if n == 2:
-            return gf.sub(gf.mul(r[0][0], r[1][1]), gf.mul(r[0][1], r[1][0]))
+            return det2(gf, *r[0], *r[1])
         if n == 3:
-            m0 = gf.sub(gf.mul(r[1][1], r[2][2]), gf.mul(r[1][2], r[2][1]))
-            m1 = gf.sub(gf.mul(r[1][0], r[2][2]), gf.mul(r[1][2], r[2][0]))
-            m2 = gf.sub(gf.mul(r[1][0], r[2][1]), gf.mul(r[1][1], r[2][0]))
-            return gf.add(gf.sub(gf.mul(r[0][0], m0), gf.mul(r[0][1], m1)),
-                          gf.mul(r[0][2], m2))
+            return det3(gf, r[0] + r[1] + r[2])
         return self._det_eliminate()
 
     def _det_eliminate(self) -> int:
@@ -261,6 +260,39 @@ class Diagonal:
 
     def __repr__(self) -> str:
         return f"Diagonal({self.gf!r}, {list(self.entries)})"
+
+
+# The 3x3 forms take the entries row by row: a_{i+1, j+1} = e[3 i + j].
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def det2(f, a, b, c, d):
+    """a d - b c, the determinant of [[a, b], [c, d]]."""
+    return f.sub(f.mul(a, d), f.mul(b, c))
+
+
+def minor(f, e, rows, cols):
+    """The 2x2 minor on rows (r0, r1) and columns (c0, c1)."""
+    (r0, r1), (c0, c1) = rows, cols
+    return det2(f, e[3 * r0 + c0], e[3 * r0 + c1], e[3 * r1 + c0], e[3 * r1 + c1])
+
+
+def minors(f, e) -> list:
+    """The nine 2x2 minors of a 3x3 matrix, row pairs outermost (the
+    order of `construct.minor_formulas`)."""
+    return [minor(f, e, rows, cols) for rows in _PAIRS for cols in _PAIRS]
+
+
+def det3(f, e, row12=None):
+    """The determinant of a 3x3 matrix by cofactor expansion along row 0.
+    `row12` holds the minors on rows (1, 2) and columns (0, 1), (0, 2),
+    (1, 2), when the caller has them (the last three of `minors`)."""
+    if row12 is None:
+        row12 = (det2(f, e[3], e[4], e[6], e[7]), det2(f, e[3], e[5], e[6], e[8]),
+                 det2(f, e[4], e[5], e[7], e[8]))
+    m01, m02, m12 = row12
+    return f.add(f.sub(f.mul(e[0], m12), f.mul(e[1], m02)), f.mul(e[2], m01))
 
 
 def _dot(gf: GF, u, v) -> int:

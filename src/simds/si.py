@@ -8,11 +8,14 @@ detectors are provided:
 * `si_oracle` enumerates every non-singular diagonal and is therefore
   valid for any small field and size, at (q-1)^n cost;
 * `si_check_3x3` decides the 3x3 case from the entries alone, by a
-  three-branch case split on the zero pattern, and is what the bulk
-  scans rely on.
+  three-branch case split on the zero pattern.  Its conditions
+  (`triangle_products_agree`, `product_det`, `nowhere_zero_si` and a
+  `matrix.minor`) take a field argument `f` and the entries row by
+  row, so `census` runs the same lines on arrays of matrices.
 
 The two must agree everywhere; the test suite compares them
-exhaustively over GF(4) and on large samples over GF(8) and GF(16).
+exhaustively over GF(3) and GF(4) and on samples over GF(5), GF(8) and
+GF(16).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from ._tables import bulk_ops, nonzero_grid
 from .errors import BudgetError, InternalMismatchError
 from .field import TABLE_MAX_Q
-from .matrix import Diagonal, Matrix
+from .matrix import Diagonal, Matrix, det3, minor
 
 BRANCH_REDUCIBLE = "reducible-form"
 BRANCH_SINGLE_ZERO = "single-zero"
@@ -71,6 +74,14 @@ def _ada_coefficients(A: Matrix):
              for j in range(n)] for i in range(n)]
 
 
+def _ada_entry(f, t, d):
+    """(ADA)_ij = sum_k t_k d_k, for t the coefficients of cell (i, j)."""
+    s = f.mul(t[0], d[0])
+    for tk, dk in zip(t[1:], d[1:]):
+        s = f.add(s, f.mul(tk, dk))
+    return s
+
+
 def associated_diagonals(A: Matrix, budget: int = DEFAULT_BUDGET) -> list[tuple]:
     """All non-singular diagonals D with ADA diagonal and non-singular,
     in ascending lexicographic order of the diagonal entries.
@@ -87,44 +98,16 @@ def associated_diagonals(A: Matrix, budget: int = DEFAULT_BUDGET) -> list[tuple]
     coeff = _ada_coefficients(A)
     cells = [(i, j) for i in range(n) for j in range(n)]
     if gf.p != 2 or gf.q > TABLE_MAX_Q:
-        out = []
-        for d in product(gf.elements(True), repeat=n):
-            ok = True
-            for i, j in cells:
-                t = coeff[i][j]
-                s = 0
-                for k in range(n):
-                    s = gf.add(s, gf.mul(t[k], d[k]))
-                if (s != 0) if i != j else (s == 0):
-                    ok = False
-                    break
-            if ok:
-                out.append(d)
-        return out
-    mul, _ = bulk_ops(gf)
+        return [d for d in product(gf.elements(True), repeat=n)
+                if all((_ada_entry(gf, coeff[i][j], d) != 0) == (i == j)
+                       for i, j in cells)]
     grid = nonzero_grid(gf.q, n)
-    tmat = np.array([[coeff[i][j][k] for k in range(n)] for i, j in cells],
-                    dtype=np.uint8)
-    acc = np.zeros((len(cells), total), dtype=np.uint8)
-    for k in range(n):
-        acc ^= mul(tmat[:, k][:, None], grid[k][None, :])
-    mask = np.ones(total, dtype=bool)
-    for row, (i, j) in enumerate(cells):
-        mask &= (acc[row] == 0) if i != j else (acc[row] != 0)
-    hits = np.flatnonzero(mask)
+    # one row per cell, one column per diagonal
+    t = np.array([coeff[i][j] for i, j in cells], dtype=np.uint8).T[:, :, None]
+    acc = _ada_entry(bulk_ops(gf), t, grid)
+    on_diag = np.array([i == j for i, j in cells])[:, None]
+    hits = np.flatnonzero(((acc != 0) == on_diag).all(axis=0))
     return [tuple(int(grid[k][h]) for k in range(n)) for h in hits]
-
-
-def _ada_diag(A: Matrix, d: tuple) -> tuple:
-    gf = A.gf
-    coeff = _ada_coefficients(A)
-    out = []
-    for i in range(A.n):
-        s = 0
-        for k in range(A.n):
-            s = gf.add(s, gf.mul(coeff[i][i][k], d[k]))
-        out.append(s)
-    return tuple(out)
 
 
 def _witness_scalars(A: Matrix, d: tuple) -> tuple:
@@ -135,7 +118,8 @@ def _witness_scalars(A: Matrix, d: tuple) -> tuple:
     therefore c = s^{-1} (so that A^{-1} = c D A D, equivalently
     D1 = c D2 for the derived pair) and a = c^{-1} = s."""
     gf = A.gf
-    ss = {gf.mul(di, ai) for di, ai in zip(d, _ada_diag(A, d))}
+    coeff = _ada_coefficients(A)
+    ss = {gf.mul(d[i], _ada_entry(gf, coeff[i][i], d)) for i in range(A.n)}
     if len(ss) != 1:
         raise InternalMismatchError("associated scalar is not constant on an "
                                     "irreducible matrix")
@@ -185,29 +169,42 @@ def si_oracle(A: Matrix, budget: int = DEFAULT_BUDGET) -> SiVerdict:
     return SiVerdict(True, BRANCH_ORACLE, d, c, a)
 
 
-def si_product_det(A: Matrix) -> int:
+# The entry-level conditions take the nine entries e of a 3x3 matrix row
+# by row (a_{i+1, j+1} = e[3 i + j]), as ints or as arrays.
+
+def triangle_products_agree(f, e):
+    """Whether the triangle products a12 a23 a31 and a13 a21 a32 agree.
+    They read only the off-diagonal entries."""
+    return f.mul(f.mul(e[1], e[5]), e[6]) == f.mul(f.mul(e[2], e[3]), e[7])
+
+
+def product_det(f, e):
     """Determinant of the matrix of entry products
 
         [[a11*a21, a21*a22, a23*a31],
          [a11*a31, a21*a32, a31*a33],
          [a12*a31, a22*a32, a32*a33]]
 
-    whose vanishing is the third condition for a nowhere-zero 3x3
-    matrix to be semi-involutory."""
+    whose vanishing is the condition that only the nowhere-zero branch
+    imposes."""
+    mul = f.mul
+    return det3(f, [mul(e[0], e[3]), mul(e[3], e[4]), mul(e[5], e[6]),
+                    mul(e[0], e[6]), mul(e[3], e[7]), mul(e[6], e[8]),
+                    mul(e[1], e[6]), mul(e[4], e[7]), mul(e[7], e[8])])
+
+
+def nowhere_zero_si(f, e):
+    """The entry-level test of a non-singular nowhere-zero 3x3 matrix:
+    the triangle products agree and `product_det` vanishes."""
+    return triangle_products_agree(f, e) & (product_det(f, e) == 0)
+
+
+def si_product_det(A: Matrix) -> int:
+    """`product_det` of a 3x3 matrix."""
     if A.n != 3:
         raise ValueError("defined for 3x3 matrices only")
-    gf, r = A.gf, A.rows
-    x = [[gf.mul(r[0][0], r[1][0]), gf.mul(r[1][0], r[1][1]), gf.mul(r[1][2], r[2][0])],
-         [gf.mul(r[0][0], r[2][0]), gf.mul(r[1][0], r[2][1]), gf.mul(r[2][0], r[2][2])],
-         [gf.mul(r[0][1], r[2][0]), gf.mul(r[1][1], r[2][1]), gf.mul(r[2][1], r[2][2])]]
-    return Matrix(gf, x).det()
-
-
-def _cycle_products_equal(A: Matrix) -> bool:
-    gf, r = A.gf, A.rows
-    up = gf.mul(gf.mul(r[0][1], r[1][2]), r[2][0])
-    down = gf.mul(gf.mul(r[0][2], r[1][0]), r[2][1])
-    return up == down
+    r = A.rows
+    return product_det(A.gf, r[0] + r[1] + r[2])
 
 
 def eigenvector_check(B: Matrix, D1: Diagonal, x) -> bool:
@@ -254,7 +251,7 @@ def si_check_3x3(A: Matrix) -> SiVerdict:
     entries:
 
     * no zeros: the two triangle products a12 a23 a31 and a13 a21 a32
-      agree and `si_product_det` vanishes;
+      agree and `product_det` vanishes;
     * one zero: the zero sits on the diagonal, the complementary 2x2
       minor vanishes, and the triangle products agree;
     * two or more zeros: permutation-similar (possibly after a
@@ -269,16 +266,18 @@ def si_check_3x3(A: Matrix) -> SiVerdict:
         raise ValueError("si_check_3x3 needs a 3x3 matrix")
     if A.det() == 0:
         return SiVerdict(False, BRANCH_NOT_SI)
-    zeros = [(i, j) for i in range(3) for j in range(3) if A.rows[i][j] == 0]
+    gf, r = A.gf, A.rows
+    e = r[0] + r[1] + r[2]
+    zeros = [k for k, v in enumerate(e) if v == 0]
     if not zeros:
         branch = BRANCH_NOWHERE_ZERO
-        ok = _cycle_products_equal(A) and si_product_det(A) == 0
+        ok = nowhere_zero_si(gf, e)
     elif len(zeros) == 1:
         branch = BRANCH_SINGLE_ZERO
-        i, j = zeros[0]
+        i, j = divmod(zeros[0], 3)
         keep = [k for k in range(3) if k != i]
-        ok = (i == j and _cycle_products_equal(A)
-              and A.submatrix(keep, keep).det() == 0)
+        ok = (i == j and triangle_products_agree(gf, e)
+              and minor(gf, e, keep, keep) == 0)
     else:
         branch = BRANCH_REDUCIBLE
         ok = _block_form_si(A)
@@ -292,7 +291,7 @@ def si_check_3x3(A: Matrix) -> SiVerdict:
     _verify_witness(A, d)
     if branch == BRANCH_REDUCIBLE or A.is_reducible():
         return SiVerdict(True, branch, d)
-    if A.gf.p == 2:
+    if gf.p == 2:
         d, c, a = canonical_witness(A, d)
         return SiVerdict(True, branch, d, c, a)
     c, a = _witness_scalars(A, d)

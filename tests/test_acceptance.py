@@ -18,7 +18,9 @@ from simds import (GF, Diagonal, Matrix, SiParams,
                    minor_formulas, predicted_invariants, si_check_3x3,
                    si_oracle, sum_conditions, sweep_parameter_space)
 from simds._tables import _digits, bulk_ops
-from simds.census import _mds_mask, _si_nowhere_zero_mask
+from simds.census import _mds_mask
+from simds.matrix import det3
+from simds.si import nowhere_zero_si
 
 GF4 = GF(2, 2, 0b111)
 GF8 = GF(2, 3, 0b1101)
@@ -191,15 +193,15 @@ def test_c09_minor_closed_forms():
 def _si_and_mds_counts_gf8(gf):
     """(nowhere-zero semi-involutory, nowhere-zero semi-involutory MDS)
     totals over all (q-1)^9 matrices, via the bulk kernels."""
-    mul, _ = bulk_ops(gf)
+    f = bulk_ops(gf)
     total = (gf.q - 1) ** 9
     n_si = n_si_mds = 0
     for start in range(0, total, 1 << 20):
         stop = min(start + (1 << 20), total)
         e = _digits(start, stop, 9, gf.q - 1)
-        si = _si_nowhere_zero_mask(mul, e)
+        si = nowhere_zero_si(f, e) & (det3(f, e) != 0)
         n_si += int(si.sum())
-        n_si_mds += int((si & _mds_mask(mul, e)).sum())
+        n_si_mds += int((si & _mds_mask(f, e)).sum())
     return n_si, n_si_mds
 
 

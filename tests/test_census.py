@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from simds import (GF, BudgetError, InternalMismatchError, brute_force_S,
+from simds import (GF, BudgetError, InternalMismatchError, Matrix, brute_force_S,
                    distinct_diag_inner_count, enumerate_si_mds, enumeration_stats,
                    exhaustive_matrix_census, formula_count, run_census,
                    sweep_parameter_space)
@@ -12,7 +12,7 @@ from simds._tables import _digits, bulk_ops, mul_table
 from simds.census import (CSV_HEADER, SET_NAMES, _mds_mask, _nonzero,
                           _pack_keys)
 from simds.construct import construction_entries, decisive_sums
-from simds.si import si_check_3x3
+from simds.si import si_check_3x3, si_oracle
 
 
 def tuple_set_by_loops(gf, subset):
@@ -102,20 +102,20 @@ def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
     monkeypatch.setattr(census, "_CHUNK", 100)
     sizes, keys = [], []
 
-    def keep_all(mul, e):
+    def keep_all(f, e):
         sizes.append(len(next(iter(e.values()))))
         return np.ones(sizes[-1], dtype=bool)
 
-    def record(mul, e):
+    def record(f, e):
         cols = [e[k] for k in range(9)]
         assert all((col != 0).all() for col in cols)
         keys.append(_pack_keys(cols, gf4.m))
-        return keep_all(mul, e)
+        return keep_all(f, e)
 
     stages = [(entries, (keep_all,)) for entries, _ in census._STAGES[target]]
     stages[-1] = (stages[-1][0], (record,))
     first = (gf4.q - 1) ** len(stages[0][0])
-    visited = census._staged_count(bulk_ops(gf4)[0], gf4.q, stages, 0, first)
+    visited = census._staged_count(bulk_ops(gf4), gf4.q, stages, 0, first)
     assert visited == len(np.unique(np.concatenate(keys))) == 3 ** 9
     assert max(sizes) <= 100
 
@@ -133,7 +133,7 @@ def _inv_mds_by_flat_scan(gf):
                   ^ mul[e[3 * i + 2], e[6 + j]])
             keep = np.flatnonzero(sq == (1 if i == j else 0))
             e = [col[keep] for col in e]
-        count += int(_mds_mask(bulk_ops(gf)[0], e).sum())
+        count += int(_mds_mask(bulk_ops(gf), e).sum())
     return count
 
 
@@ -166,6 +166,22 @@ def test_scan_does_not_read_construction_or_entry_test(monkeypatch, gf4, gf8, gf
     for gf in (gf8, gf8b):
         assert exhaustive_matrix_census(gf, "SI_MDS") == 403368
         assert exhaustive_matrix_census(gf, "INV_MDS") == 1176
+
+
+def test_scan_shares_the_nowhere_zero_condition(monkeypatch, gf8):
+    """The SI_MDS scan and `si_check_3x3` judge nowhere-zero matrices by
+    the one `si.product_det`: broken wherever it is bound, both fail."""
+    from simds import si
+
+    def broken(*args, **kwargs):
+        raise _Forbidden
+
+    for module in (census, si):
+        monkeypatch.setattr(module, "product_det", broken)
+    with pytest.raises(_Forbidden):
+        si_check_3x3(Matrix(gf8, [[6, 1, 5], [1, 6, 3], [5, 3, 6]]))
+    with pytest.raises(_Forbidden):
+        exhaustive_matrix_census(gf8, "SI_MDS")
 
 
 @pytest.mark.parametrize("cpus, jobs, want", [
@@ -221,14 +237,14 @@ def built_keys_gf8b(gf8b):
     in build order, i.e. all 7^8 parameter tuples in digit order with
     those outside S (a decisive sum is zero) dropped, deduplicated by
     no one."""
-    mul, inv = bulk_ops(gf8b)
+    f = bulk_ops(gf8b)
     total = 7 ** 8
     out = []
     for start in range(0, total, 1 << 18):
         cols = _digits(start, min(start + (1 << 18), total), 8, 7)
-        keep = np.flatnonzero(_nonzero(*decisive_sums(mul, *cols[:6])))
+        keep = np.flatnonzero(_nonzero(*decisive_sums(f, *cols[:6])))
         cols = [col[keep] for col in cols]
-        e = construction_entries(mul, inv, decisive_sums(mul, *cols[:6]), *cols)
+        e = construction_entries(f, decisive_sums(f, *cols[:6]), *cols)
         out.append(_pack_keys(e, gf8b.m))
     return np.concatenate(out)
 
@@ -253,9 +269,9 @@ def test_spot_checks_follow_build_order(gf8b, built_keys_gf8b, monkeypatch):
 
     def spy(A):
         checked.append(A)
-        return si_check_3x3(A)
+        return si_oracle(A)
 
-    monkeypatch.setattr(census, "si_check_3x3", spy)
+    monkeypatch.setattr(census, "si_oracle", spy)
     assert enumeration_stats(gf8b).distinct == 403368
     keys = []
     for A in checked:
@@ -346,21 +362,21 @@ def test_sweep_gf4():
 
 # Constructions with one fault each, for the checks that must catch it.
 
-def _swap_a12_a13(mul, inv, sums, *params):
-    e = construction_entries(mul, inv, sums, *params)
+def _swap_a12_a13(f, sums, *params):
+    e = construction_entries(f, sums, *params)
     e[1], e[2] = e[2], e[1]
     return e
 
 
-def _a12_plus_a11(mul, inv, sums, *params):
-    e = construction_entries(mul, inv, sums, *params)
+def _a12_plus_a11(f, sums, *params):
+    e = construction_entries(f, sums, *params)
     e[1] = e[1] ^ e[0]
     return e
 
 
-def _a23_times_x(mul, inv, sums, *params):
-    e = construction_entries(mul, inv, sums, *params)
-    e[5] = mul(e[5], params[6])
+def _a23_times_x(f, sums, *params):
+    e = construction_entries(f, sums, *params)
+    e[5] = f.mul(e[5], params[6])
     return e
 
 
@@ -406,11 +422,11 @@ def test_broken_construction_fails_bulk_verification(gf8b, monkeypatch):
 def test_broken_construction_fails_scalar_spot_check(gf8b, monkeypatch):
     """With the bulk verification blinded, the scalar spot check still
     catches a broken construction."""
-    def blind(mul, e):
+    def blind(f, e):
         return np.ones(len(e[0]), dtype=bool)
 
     monkeypatch.setattr(census, "construction_entries", _swap_a12_a13)
-    monkeypatch.setattr(census, "_si_nowhere_zero_mask", blind)
+    monkeypatch.setattr(census, "nowhere_zero_si", blind)
     monkeypatch.setattr(census, "_mds_mask", blind)
     with pytest.raises(InternalMismatchError, match="scalar spot check"):
         enumeration_stats(gf8b)
@@ -422,8 +438,8 @@ def test_one_faulty_tuple_fails_bulk_verification(gf8b, monkeypatch):
     doubled, which breaks the cross-product equality."""
     calls = []
 
-    def one_fault(mul, inv, sums, *params):
-        e = construction_entries(mul, inv, sums, *params)
+    def one_fault(f, sums, *params):
+        e = construction_entries(f, sums, *params)
         calls.append(None)
         if len(calls) == 1:
             shape = np.broadcast_shapes(*(np.shape(v) for v in e))
@@ -450,6 +466,12 @@ def test_distinct_equals_unique():
         assert got.dtype == keys.dtype
         assert np.array_equal(got, np.unique(keys))
     assert census._distinct(rand)[-1] == 2 ** 64 - 1
+
+
+def test_pack_keys_rejects_entries_wider_than_seven_bits():
+    e = [np.full(3, 200, dtype=np.uint8) for _ in range(9)]
+    with pytest.raises(ValueError, match="64-bit key"):
+        _pack_keys(e, 8)
 
 
 # 9 m <= 64 bits: m = 7 is the largest width a uint64 key holds

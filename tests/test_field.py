@@ -239,7 +239,9 @@ def test_bulk_ops_match_scalar_arithmetic(m, poly):
     non-zero elements, as uint8, with broadcasting operands."""
     gf = GF(2, m, poly)
     q = gf.q
-    mul, inv = bulk_ops(gf)
+    f = bulk_ops(gf)
+    assert bulk_ops(GF(2, m, poly)) is f
+    mul, inv = f.mul, f.inv
     a = np.arange(q, dtype=np.uint8)
     want = [[gf.mul(x, y) for y in range(q)] for x in range(q)]
     flat = mul(np.repeat(a, q), np.tile(a, q))

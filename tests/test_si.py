@@ -327,8 +327,9 @@ def test_oracle_does_not_read_entry_test(monkeypatch, gf4, gf8):
     samples = _seeded_sample(gf4, 31, 300) + _seeded_sample(gf8, 37, 300)
     before = [si_oracle(A) for A in samples]
     assert any(v.si for v in before) and not all(v.si for v in before)
-    for name in ("si_check_3x3", "_cycle_products_equal", "si_product_det",
-                 "_block_form_si", "eigenvector_check"):
+    for name in ("si_check_3x3", "triangle_products_agree", "product_det",
+                 "nowhere_zero_si", "minor", "det3", "_block_form_si",
+                 "eigenvector_check"):
         monkeypatch.setattr(si, name, _forbidden)
     for A in samples:  # the patches reach every branch that reads them
         zeros = [i == j for i, row in enumerate(A.rows)
@@ -337,6 +338,26 @@ def test_oracle_does_not_read_entry_test(monkeypatch, gf4, gf8):
             with pytest.raises(_Forbidden):
                 si_check_3x3(A)
     assert [si_oracle(A) for A in samples] == before
+
+
+def test_entry_test_matches_oracle_in_odd_characteristic():
+    """The entry-level test agrees with the oracle on all 3^9 matrices
+    over GF(3) and on 4,000 nowhere-zero matrices over GF(5); only the
+    latter reach semi-involutory matrices of the nowhere-zero branch."""
+    f3, f5 = GF(3), GF(5)
+    rng = random.Random(53)
+    cases = [(f3, e) for e in itertools.product(range(3), repeat=9)]
+    cases += [(f5, [rng.randrange(1, 5) for _ in range(9)]) for _ in range(4000)]
+    branches = set()
+    for gf, e in cases:
+        A = Matrix(gf, [e[0:3], e[3:6], e[6:9]])
+        v = si_check_3x3(A)
+        want = A.det() != 0 and si_oracle(A).si
+        assert v.si == want
+        if v.si:
+            branches.add((gf.q, v.branch))
+    assert (5, "nowhere-zero") in branches
+    assert {(3, "single-zero"), (3, "reducible-form")} <= branches
 
 
 def test_entry_test_searches_diagonals_only_for_witness(monkeypatch, gf4, gf8):
