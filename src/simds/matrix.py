@@ -3,13 +3,13 @@
 Matrices and diagonal matrices are immutable values carrying their
 field; every operation returns a new object, so they are safe to share
 between parallel workers.  Determinants use closed-form cofactor
-expansion up to 3x3 (the hot size here) and Gaussian elimination above
-that; inverses use Gauss-Jordan elimination at every size.  The 2x2
+expansion at 2x2 and 3x3 (the hot sizes here) and Gaussian elimination
+otherwise; inverses use Gauss-Jordan elimination at every size.  The 2x2
 and 3x3 forms, `det2`, `minor` and `det3`, are written over a field
 argument `f`, so the same lines judge one matrix of ints (f = gf) and
-arrays of matrices (f = `_tables.bulk_ops(gf)`).  `is_mds`
-examines at most MDS_MINOR_BUDGET minors, so a check ends in bounded
-time at any n.
+arrays of matrices (f = `_tables.bulk_ops(gf)`).  `is_mds` takes
+each minor's `_det` from plain rows, and examines at most
+MDS_MINOR_BUDGET minors, so a check ends in bounded time at any n.
 """
 
 from __future__ import annotations
@@ -88,34 +88,7 @@ class Matrix:
         return Matrix(self.gf, list(zip(*self.rows)))
 
     def det(self) -> int:
-        gf, r, n = self.gf, self.rows, self.n
-        if n == 1:
-            return r[0][0]
-        if n == 2:
-            return det2(gf, *r[0], *r[1])
-        if n == 3:
-            return det3(gf, r[0] + r[1] + r[2])
-        return self._det_eliminate()
-
-    def _det_eliminate(self) -> int:
-        gf, n = self.gf, self.n
-        a = [list(row) for row in self.rows]
-        det = 1
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col]), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = gf.neg(det)
-            det = gf.mul(det, a[col][col])
-            pinv = gf.inv(a[col][col])
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    f = gf.mul(a[r][col], pinv)
-                    for c in range(col, n):
-                        a[r][c] = gf.sub(a[r][c], gf.mul(f, a[col][c]))
-        return det
+        return _det(self.gf, self.rows)
 
     def inverse(self) -> "Matrix":
         """Gauss-Jordan elimination; a singular matrix raises ValueError."""
@@ -152,10 +125,9 @@ class Matrix:
         rather than examine more than MDS_MINOR_BUDGET minors, which
         covers all C(2n, n) - 1 of them for every n <= 7.
         """
-        n = self.n
-        for row in self.rows:
-            if 0 in row:
-                return False
+        gf, r, n = self.gf, self.rows, self.n
+        if any(0 in row for row in r):
+            return False
         examined = n * n
         idx = range(n)
         for size in range(2, n + 1):
@@ -166,7 +138,7 @@ class Matrix:
                         raise BudgetError(f"the MDS test of a {n}x{n} matrix "
                                           f"examines more than "
                                           f"{MDS_MINOR_BUDGET} minors")
-                    if self.submatrix(rs, cs).det() == 0:
+                    if _det(gf, [[r[i][j] for j in cs] for i in rs]) == 0:
                         return False
         return True
 
@@ -293,6 +265,32 @@ def det3(f, e, row12=None):
                  det2(f, e[4], e[5], e[7], e[8]))
     m01, m02, m12 = row12
     return f.add(f.sub(f.mul(e[0], m12), f.mul(e[1], m02)), f.mul(e[2], m01))
+
+
+def _det(gf: GF, rows) -> int:
+    """Determinant of a square list of rows, in closed form at n = 2, 3."""
+    n = len(rows)
+    if n == 2:
+        return det2(gf, *rows[0], *rows[1])
+    if n == 3:
+        return det3(gf, rows[0] + rows[1] + rows[2])
+    a = [list(row) for row in rows]
+    det = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = gf.neg(det)
+        det = gf.mul(det, a[col][col])
+        pinv = gf.inv(a[col][col])
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = gf.mul(a[r][col], pinv)
+                for c in range(col, n):
+                    a[r][c] = gf.sub(a[r][c], gf.mul(f, a[col][c]))
+    return det
 
 
 def _dot(gf: GF, u, v) -> int:

@@ -8,27 +8,27 @@ detectors are provided:
 * `si_oracle` enumerates every non-singular diagonal and is therefore
   valid for any small field and size, at (q-1)^n cost;
 * `si_check_3x3` decides the 3x3 case from the entries alone, by a
-  three-branch case split on the zero pattern.  Its conditions
-  (`triangle_products_agree`, `product_det`, `nowhere_zero_si` and a
-  `matrix.minor`) take a field argument `f` and the entries row by
-  row, so `census` runs the same lines on arrays of matrices.
+  three-branch case split on the zero pattern with a closed form in
+  each branch, and searches diagonals only for a witness.  Its
+  conditions take a field argument `f` and the entries row by row, so
+  `census` runs `nowhere_zero_si` and a `matrix.minor` on arrays.
 
 The two must agree everywhere; the test suite compares them
-exhaustively over GF(3) and GF(4) and on samples over GF(5), GF(8) and
-GF(16).
+exhaustively over GF(3) and GF(4) and on samples over GF(5), GF(7),
+GF(8) and GF(16).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 
 from ._tables import bulk_ops, nonzero_grid
 from .errors import BudgetError, InternalMismatchError
 from .field import TABLE_MAX_Q
-from .matrix import Diagonal, Matrix, det3, minor
+from .matrix import Diagonal, Matrix, det2, det3, minor
 
 BRANCH_REDUCIBLE = "reducible-form"
 BRANCH_SINGLE_ZERO = "single-zero"
@@ -219,27 +219,29 @@ def eigenvector_check(B: Matrix, D1: Diagonal, x) -> bool:
                for lam in gf.elements())
 
 
-def _block_form_si(A: Matrix) -> bool:
-    """Branch for matrices with two or more zeros: up to permutation
-    similarity (of A or its transpose, which preserves the property)
-    A = [[B, x], [0 0, c]] with B 2x2 semi-involutory and x = 0 or x an
-    eigenvector of B D1 for some valid D1."""
-    gf = A.gf
-    for M in (A, A.transpose()):
-        for perm in permutations(range(3)):
-            conj = M.conjugate(perm)
-            r = conj.rows
-            if r[2][0] != 0 or r[2][1] != 0:
+def _block_form_si(f, e):
+    """The reducible-form branch.  In A or its transpose t, a row k zero
+    off the diagonal makes A permutation-similar to [[B, x], [0 0, t_kk]]
+    with B = [[a, b], [c, d]] and x on the other two indices.  B is
+    semi-involutory iff a, d are both zero or both not; x then suits a
+    witness W of B always if B is diagonal, iff x1 x2 != 0 if B is
+    anti-diagonal, and otherwise iff B W x is parallel to x for
+    W = diag(d, -a), whose multiples are B's witnesses."""
+    for t in (e, e[0::3] + e[1::3] + e[2::3]):
+        for k in range(3):
+            i, j = (m for m in range(3) if m != k)
+            a, b, c, d = t[4 * i], t[3 * i + j], t[3 * j + i], t[4 * j]
+            x1, x2 = t[3 * i + k], t[3 * j + k]
+            if t[3 * k + i] or t[3 * k + j] or (a == 0) != (d == 0):
                 continue
-            B = conj.submatrix((0, 1), (0, 1))
-            wits = associated_diagonals(B)
-            if not wits:
-                continue
-            x = (r[0][2], r[1][2])
-            if x == (0, 0):
+            if b == c == 0 or x1 == x2 == 0 or a == 0 and x1 and x2:
                 return True
-            if any(eigenvector_check(B, Diagonal(gf, w), x) for w in wits):
-                return True
+            if a:
+                y1, y2 = f.mul(d, x1), f.mul(f.neg(a), x2)
+                u1 = f.add(f.mul(a, y1), f.mul(b, y2))
+                u2 = f.add(f.mul(c, y1), f.mul(d, y2))
+                if det2(f, u1, x1, u2, x2) == 0:
+                    return True
     return False
 
 
@@ -256,11 +258,11 @@ def si_check_3x3(A: Matrix) -> SiVerdict:
       minor vanishes, and the triangle products agree;
     * two or more zeros: permutation-similar (possibly after a
       transpose) to a block form [[B, x], [0, c]] with B semi-involutory
-      and x zero or an eigenvector of B D1.
+      and x zero or an eigenvector of B W for a witness W of B.
 
-    The returned witness is the canonical one with c = 1 when the
-    matrix is irreducible, and the lexicographically least one
-    otherwise.
+    Only a positive verdict runs `associated_diagonals`, for a witness:
+    the canonical one with c = 1 when the matrix is irreducible, and
+    the lexicographically least one otherwise.
     """
     if A.n != 3:
         raise ValueError("si_check_3x3 needs a 3x3 matrix")
@@ -280,7 +282,7 @@ def si_check_3x3(A: Matrix) -> SiVerdict:
               and minor(gf, e, keep, keep) == 0)
     else:
         branch = BRANCH_REDUCIBLE
-        ok = _block_form_si(A)
+        ok = _block_form_si(gf, e)
     if not ok:
         return SiVerdict(False, BRANCH_NOT_SI)
     wits = associated_diagonals(A)
@@ -289,7 +291,7 @@ def si_check_3x3(A: Matrix) -> SiVerdict:
                                     "diagonal exists")
     d = wits[0]
     _verify_witness(A, d)
-    if branch == BRANCH_REDUCIBLE or A.is_reducible():
+    if branch == BRANCH_REDUCIBLE:
         return SiVerdict(True, branch, d)
     if gf.p == 2:
         d, c, a = canonical_witness(A, d)

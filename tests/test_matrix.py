@@ -238,6 +238,23 @@ def test_is_mds_agrees_with_direct_enumeration_gf4(gf4):
     assert count_mds > 0
 
 
+def test_is_mds_builds_no_matrix(monkeypatch, gf8):
+    """`is_mds` takes its minors' determinants from the entries and
+    constructs no `Matrix` on the way."""
+    rng = random.Random(61)
+    samples = [Matrix(gf8, [[rng.randrange(1, 8) for _ in range(3)]
+                            for _ in range(3)]) for _ in range(300)]
+    samples.append(cauchy(GF(2, 8, 0b100011011), 5))
+    verdicts = [A.is_mds() for A in samples]
+    assert any(verdicts) and not all(verdicts)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("is_mds constructed a Matrix")
+
+    monkeypatch.setattr(Matrix, "__init__", forbidden)
+    assert [A.is_mds() for A in samples] == verdicts
+
+
 def test_mds_invariance(gf4):
     for A in all_matrices(gf4, 3):
         if not all(v for row in A.rows for v in row):

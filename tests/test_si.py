@@ -340,14 +340,25 @@ def test_oracle_does_not_read_entry_test(monkeypatch, gf4, gf8):
     assert [si_oracle(A) for A in samples] == before
 
 
+def _with_zeros(rng, q):
+    """Nine entries over GF(q), two to five of them zero."""
+    e = [rng.randrange(1, q) for _ in range(9)]
+    for k in rng.sample(range(9), rng.randrange(2, 6)):
+        e[k] = 0
+    return e
+
+
 def test_entry_test_matches_oracle_in_odd_characteristic():
     """The entry-level test agrees with the oracle on all 3^9 matrices
-    over GF(3) and on 4,000 nowhere-zero matrices over GF(5); only the
-    latter reach semi-involutory matrices of the nowhere-zero branch."""
-    f3, f5 = GF(3), GF(5)
+    over GF(3), on 4,000 nowhere-zero matrices over GF(5) and on 4,000
+    matrices with two to five zeros each over GF(5) and GF(7).  The
+    nowhere-zero ones reach semi-involutory matrices of the nowhere-zero
+    branch, and the ones with zeros those of the reducible-form branch."""
+    f3, f5, f7 = GF(3), GF(5), GF(7)
     rng = random.Random(53)
     cases = [(f3, e) for e in itertools.product(range(3), repeat=9)]
     cases += [(f5, [rng.randrange(1, 5) for _ in range(9)]) for _ in range(4000)]
+    cases += [(gf, _with_zeros(rng, gf.q)) for gf in (f5, f7) for _ in range(4000)]
     branches = set()
     for gf, e in cases:
         A = Matrix(gf, [e[0:3], e[3:6], e[6:9]])
@@ -358,15 +369,15 @@ def test_entry_test_matches_oracle_in_odd_characteristic():
             branches.add((gf.q, v.branch))
     assert (5, "nowhere-zero") in branches
     assert {(3, "single-zero"), (3, "reducible-form")} <= branches
+    assert {(5, "reducible-form"), (7, "reducible-form")} <= branches
 
 
 def test_entry_test_searches_diagonals_only_for_witness(monkeypatch, gf4, gf8):
-    """On nowhere-zero and single-zero input `si_check_3x3` decides from
-    the entries alone: it reaches the oracle's diagonal search only to
-    produce the witness of a semi-involutory matrix."""
+    """On every zero pattern `si_check_3x3` decides from the entries
+    alone: it reaches the oracle's diagonal search only to produce the
+    witness of a semi-involutory matrix."""
     from simds import si
-    samples = [A for A in _seeded_sample(gf4, 41, 400) + _seeded_sample(gf8, 43, 400)
-               if sum(v == 0 for row in A.rows for v in row) <= 1]
+    samples = _seeded_sample(gf4, 41, 400) + _seeded_sample(gf8, 43, 400)
     verdicts = [si_oracle(A).si for A in samples]
     assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100
     monkeypatch.setattr(si, "associated_diagonals", _forbidden)
