@@ -7,11 +7,11 @@ with an independent brute-force verifier at desk scale:
   decisive sums are non-zero), partitioned by the equality pattern of
   the a_ii, enumerated literally over (q-1)^6;
 * the parametrized enumeration, which builds every matrix from the
-  tuples in S x (x, y), broadcasting batches of S tuples against the
-  row of all (x, y) as the sweep does, and deduplicates by a packed
-  9-entry key with a sort, one (a11, a22) group at a time: both are
-  matrix entries, so two groups never share a matrix, and memory is
-  bounded by one group's keys.  Each batch's distinct matrices are
+  tuples in S x (x, y), broadcasting batches of S tuples as (R, 1)
+  columns against the (1, (q-1)^2) row of all (x, y), and deduplicates
+  by a packed 9-entry key with a sort, one (a11, a22) group at a time:
+  both are matrix entries, so two groups never share a matrix, and
+  memory is bounded by one group's keys.  Each batch's distinct matrices are
   verified in bulk by the entry-level test, and every 4096th matrix of
   the build order by `Matrix.is_mds` and the independent `si_oracle`;
 * the exhaustive matrix census, which judges all (q-1)^9 nowhere-zero
@@ -23,9 +23,11 @@ with an independent brute-force verifier at desk scale:
   reads is known, so the candidates a test rejects are never expanded;
 * the parameter sweep, which checks the construction's MDS, A D A,
   determinant and zero-pattern claims on every 8-tuple (a11, a22, a33,
-  d1, d2, d3, x, y): a block of 6-tuples, as (R, 1) columns, is crossed
-  with the (1, (q-1)^2) row of all (x, y) by broadcasting, so what
-  reads only the 6-tuple is computed once for its (q-1)^2 pairs.
+  d1, d2, d3, x, y): x, y and a block of R 6-tuples lie on three
+  broadcast axes, (q-1, 1, 1), (1, q-1, 1) and (1, 1, R), so each value
+  is computed only over the parameters it reads (a12 and a21 over the
+  6-tuple and x, a23 and a32 over the 6-tuple and y), and only a13,
+  a31 and what reads them span all (q-1)^2 R 8-tuples of the block.
 
 Bulk work runs on numpy lookup tables in fixed-size chunks.  The tuple
 sets, the matrix census and the sweep can be partitioned across
@@ -390,8 +392,8 @@ def _parametrized_groups(gf: GF):
     sorted distinct keys with its tuple count.
 
     A batch holds up to `_CHUNK // (q-1)^2` S tuples as (R, 1) columns,
-    crossed by broadcasting with the (1, (q-1)^2) row of all (x, y), as
-    in the sweep.  Its matrices are deduplicated by packed key, and each
+    crossed by broadcasting with the (1, (q-1)^2) row of all (x, y).
+    Its matrices are deduplicated by packed key, and each
     distinct one, unpacked from its key, is verified semi-involutory (by
     the entry-level test) and MDS in bulk: every built matrix is among
     them, since packing is lossless.  Every `_SPOT_CHECK_STRIDE`-th
@@ -462,15 +464,20 @@ def enumerate_si_mds(gf: GF, mode: str = "count", long_run: bool = False):
     return enumeration_stats(gf, long_run=long_run).distinct
 
 
-def enumeration_stats(gf: GF, long_run: bool = False) -> EnumerationStats:
+def enumeration_stats(gf: GF, long_run: bool = False,
+                      progress=None) -> EnumerationStats:
     """Run the parametrized enumeration and report distinct-matrix and
     tuple counts side by side (their ratio measures how many parameter
-    tuples collide on one matrix)."""
+    tuples collide on one matrix).  `progress(fraction)` is called as
+    each of the (q-1)^2 (a11, a22) groups finishes."""
     _enumeration_budget(gf, long_run)
     distinct = tuple_count = 0
-    for keys, n in _parametrized_groups(gf):
+    groups = (gf.q - 1) ** 2
+    for done, (keys, n) in enumerate(_parametrized_groups(gf), 1):
         distinct += len(keys)
         tuple_count += n
+        if progress is not None:
+            progress(done / groups)
     return EnumerationStats(distinct, tuple_count)
 
 
@@ -514,41 +521,46 @@ def _sweep_worker(args) -> tuple:
     """The four failure counters over the 6-tuples (a11, a22, a33, d1,
     d2, d3) [lo, hi) in digit order, each crossed with every (x, y).
 
-    A block holds up to `_CHUNK // (q-1)^2` 6-tuples as (R, 1) columns;
-    (x, y) is a (1, (q-1)^2) row, and every bulk operation broadcasts.
-    Whatever reads only the 6-tuple (the sums, r12/r13/r21, the
-    predicted det and A D A diagonal of `construct.det_and_ada`) is an
-    (R, 1) array, computed once per 6-tuple; every entry, minor and
-    comparison that reads x or y is an (R, (q-1)^2) array, computed for
-    each of the 8-tuples."""
+    x, y and a block of up to `_CHUNK // (q-1)^2` 6-tuples each get
+    their own broadcast axis: x is (q-1, 1, 1), y is (1, q-1, 1) and the
+    6-tuples are (1, 1, R), innermost so that numpy's inner loops run R
+    elements long.  Every bulk operation broadcasts, so each value spans
+    only the axes it reads: the sums, r12/r13/r21 and the predicted det
+    and A D A diagonal of `construct.det_and_ada` are (1, 1, R); a12 and
+    a21 are (q-1, 1, R), a23 and a32 (1, q-1, R), and so are the minors
+    and A D A terms built from them alone; only a13, a31 and what reads
+    them span the full (q-1, q-1, R).  Each counter sums its mask
+    broadcast to that full shape, so it counts every 8-tuple whatever
+    axes the mask reads."""
     field_dict, lo, hi = args
     gf = GF.from_dict(field_dict)
     f = bulk_ops(gf)
     base = gf.q - 1
-    x, y = (g[None, :] for g in nonzero_grid(gf.q, 2))
-    width = x.shape[1]
-    step = max(1, _CHUNK // width)
-    mds_bad = si_bad = det_bad = zero_bad = 0
+    (g,) = nonzero_grid(gf.q, 1)
+    x, y = g[:, None, None], g[None, :, None]
+    step = max(1, _CHUNK // base ** 2)
+    bad = np.zeros(4, dtype=np.int64)
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
-        six = [col[:, None] for col in _digits(start, stop, 6, base)]
+        full = (base, base, stop - start)
+        six = [col[None, None, :] for col in _digits(start, stop, 6, base)]
         d = six[3:]
         sums = decisive_sums(f, *six)
         s12, s13, s23, s = sums
         e = construction_entries(f, sums, *six, x, y)
         m = minors(f, e)
         det = det3(f, e, m[6:])
-        mds_bad += int((_nonzero(det, *m) != _nonzero(*sums)).sum())
-        zero_bad += int((_nonzero(*e) != _nonzero(s12, s13, s23)).sum())
         # ADA = diag(s^2/d_i) identically; non-singular exactly when s != 0
         want_det, want_ada = det_and_ada(f, s, *d)
         da = [f.mul(d[k], e[3 * k + j]) for k in range(3) for j in range(3)]
-        ada_ok = np.ones((stop - start, width), dtype=bool)
+        ada_ok = np.ones(full, dtype=bool)
         for i, j in product(range(3), repeat=2):
             ada_ok &= _product_entry(f, e, da, i, j) == (want_ada[i] if i == j else 0)
-        si_bad += int((~ada_ok).sum())
-        det_bad += int((det != want_det).sum())
-    return mds_bad, si_bad, det_bad, zero_bad
+        # mds_iff_sums, ada_formula, det_formula, zero_pattern failures
+        masks = (_nonzero(det, *m) != _nonzero(*sums), ~ada_ok,
+                 det != want_det, _nonzero(*e) != _nonzero(s12, s13, s23))
+        bad += [np.count_nonzero(np.broadcast_to(mask, full)) for mask in masks]
+    return tuple(int(n) for n in bad)
 
 
 def sweep_parameter_space(gf: GF, jobs: int = 1) -> SweepResult:
@@ -560,8 +572,10 @@ def sweep_parameter_space(gf: GF, jobs: int = 1) -> SweepResult:
 
     The (q-1)^6 tuples (a11, a22, a33, d1, d2, d3) are partitioned into
     spans, and each is crossed with all (q-1)^2 pairs (x, y) by
-    broadcasting, so what depends on the 6-tuple alone is computed once
-    for its (q-1)^2 pairs; nothing is sampled or skipped."""
+    broadcasting on three axes, x by y by the 6-tuples: what reads the
+    6-tuple alone is computed once for its (q-1)^2 pairs, what reads it
+    and only one of x and y once for q-1 pairs, and the counters still
+    count every 8-tuple; nothing is sampled or skipped."""
     _require_char2_desk(gf, max_q=8)
     parts = _run_partitioned(_sweep_worker, (gf.to_dict(),), (gf.q - 1) ** 6, jobs)
     sums = [sum(p[i] for p in parts) for i in range(4)]
@@ -623,7 +637,8 @@ def run_census(gf: GF, sets=None, mode: str = "both", exhaustive: bool = False,
                 if name in ("S", "S1", "S2", "S3", "S4", "S5"):
                     brute = brute_force_S(gf, name, jobs=jobs)
                 elif name == "SI_MDS" and not exhaustive:
-                    stats = enumeration_stats(gf, long_run=long_run)
+                    stats = enumeration_stats(gf, long_run=long_run,
+                                              progress=progress)
                     brute = stats.distinct
                     if stats.tuples_per_matrix not in (None, 1):
                         note = (f"{stats.tuples_per_matrix} parameter tuples "

@@ -91,23 +91,39 @@ def associated_diagonals(A: Matrix, budget: int = DEFAULT_BUDGET) -> list[tuple]
     the whole grid at once with the bulk field arithmetic of
     `_tables.bulk_ops`; the result is identical to the scalar loop.
     """
+    return _diagonals_with_lead(A, (), budget)
+
+
+def _least_witness(A: Matrix) -> tuple | None:
+    """The lexicographically least associated diagonal of A, or None.
+
+    A non-zero multiple of a witness is a witness, so the least one has
+    d1 = 1: only the (q-1)^(n-1) diagonals with d1 = 1 are searched."""
+    wits = _diagonals_with_lead(A, (1,), DEFAULT_BUDGET)
+    return wits[0] if wits else None
+
+
+def _diagonals_with_lead(A: Matrix, lead: tuple, budget: int) -> list[tuple]:
+    """The associated diagonals of A that begin with `lead`, ascending,
+    searched over every non-zero value of the remaining entries."""
     gf, n = A.gf, A.n
-    total = (gf.q - 1) ** n
+    free = n - len(lead)
+    total = (gf.q - 1) ** free
     if total > budget:
-        raise BudgetError(f"(q-1)^n = {total} exceeds the search budget {budget}")
+        raise BudgetError(f"(q-1)^{free} = {total} exceeds the search budget {budget}")
     coeff = _ada_coefficients(A)
     cells = [(i, j) for i in range(n) for j in range(n)]
     if gf.p != 2 or gf.q > TABLE_MAX_Q:
-        return [d for d in product(gf.elements(True), repeat=n)
-                if all((_ada_entry(gf, coeff[i][j], d) != 0) == (i == j)
+        return [lead + d for d in product(gf.elements(True), repeat=free)
+                if all((_ada_entry(gf, coeff[i][j], lead + d) != 0) == (i == j)
                        for i, j in cells)]
-    grid = nonzero_grid(gf.q, n)
+    grid = nonzero_grid(gf.q, free)
     # one row per cell, one column per diagonal
     t = np.array([coeff[i][j] for i, j in cells], dtype=np.uint8).T[:, :, None]
-    acc = _ada_entry(bulk_ops(gf), t, grid)
+    acc = _ada_entry(bulk_ops(gf), t, lead + grid)
     on_diag = np.array([i == j for i, j in cells])[:, None]
     hits = np.flatnonzero(((acc != 0) == on_diag).all(axis=0))
-    return [tuple(int(grid[k][h]) for k in range(n)) for h in hits]
+    return [lead + tuple(int(col[h]) for col in grid) for h in hits]
 
 
 def _witness_scalars(A: Matrix, d: tuple) -> tuple:
@@ -260,9 +276,10 @@ def si_check_3x3(A: Matrix) -> SiVerdict:
       transpose) to a block form [[B, x], [0, c]] with B semi-involutory
       and x zero or an eigenvector of B W for a witness W of B.
 
-    Only a positive verdict runs `associated_diagonals`, for a witness:
-    the canonical one with c = 1 when the matrix is irreducible, and
-    the lexicographically least one otherwise.
+    Only a positive verdict searches diagonals, for a witness: the
+    canonical one with c = 1 when the matrix is irreducible, and the
+    lexicographically least one otherwise, found among the (q-1)^2
+    diagonals with d1 = 1 by `_least_witness`.
     """
     if A.n != 3:
         raise ValueError("si_check_3x3 needs a 3x3 matrix")
@@ -285,11 +302,10 @@ def si_check_3x3(A: Matrix) -> SiVerdict:
         ok = _block_form_si(gf, e)
     if not ok:
         return SiVerdict(False, BRANCH_NOT_SI)
-    wits = associated_diagonals(A)
-    if not wits:
+    d = _least_witness(A)
+    if d is None:
         raise InternalMismatchError("branch conditions hold but no associated "
                                     "diagonal exists")
-    d = wits[0]
     _verify_witness(A, d)
     if branch == BRANCH_REDUCIBLE:
         return SiVerdict(True, branch, d)

@@ -380,6 +380,27 @@ def _a23_times_x(f, sums, *params):
     return e
 
 
+def _a12_is_a11(f, sums, *params):
+    """a12 reads only the 6-tuple."""
+    e = construction_entries(f, sums, *params)
+    e[1] = e[0]
+    return e
+
+
+def _a13_is_x(f, sums, *params):
+    """a13 reads only x, so a31 is the one entry left on every axis."""
+    e = construction_entries(f, sums, *params)
+    e[2] = params[6]
+    return e
+
+
+def _a12_is_a11_without_y(f, sums, *params):
+    """y is read as x, so no entry and no mask reads y; a12 reads only
+    the 6-tuple.  A counter summed over its mask's own shape, not over
+    all 8-tuples, would undercount this fault."""
+    return _a12_is_a11(f, sums, *params[:7], params[6])
+
+
 def _failures(sw):
     return (sw.mds_iff_sums_failures, sw.ada_formula_failures,
             sw.det_formula_failures, sw.zero_pattern_failures)
@@ -391,6 +412,9 @@ def _failures(sw):
     (_swap_a12_a13, (972, 4860, 1944, 0), (2924418, 5042100, 3226944, 0)),
     (_a12_plus_a11, (0, 5832, 2916, 486), (2319366, 5647152, 4235364, 504210)),
     (_a23_times_x, (0, 2916, 972, 0), (1815156, 4235364, 3025260, 0)),
+    (_a12_is_a11, (0, 4374, 2430, 0), (2218524, 4941258, 3731154, 0)),
+    (_a13_is_x, (0, 4374, 2430, 0), (2218524, 4941258, 3731154, 0)),
+    (_a12_is_a11_without_y, (0, 4374, 2430, 0), (2218524, 4941258, 3731154, 0)),
 ])
 def test_sweep_counts_construction_faults(gf4, gf8b, monkeypatch, fault,
                                           at_q4, at_q8):
@@ -411,6 +435,24 @@ def test_jobs_do_not_change_sweep(gf4, gf8b, monkeypatch, inline_pool):
             assert one.tuples == (gf.q - 1) ** 8
             assert one.clean == (construction is construction_entries)
     assert len(inline_pool) == 4
+
+
+def test_sweep_products_per_tuple(gf4, monkeypatch):
+    """Each product of the sweep spans only the broadcast axes it reads:
+    over GF(4) it takes at most 40 products per 8-tuple (38.6), where
+    crossing each 6-tuple with the flat (x, y) row took 56.6."""
+    f = bulk_ops(gf4)
+    mul = f.mul
+    sizes = []
+
+    def counted(a, b):
+        out = mul(a, b)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(f, "mul", counted)
+    assert sweep_parameter_space(gf4).clean
+    assert sum(sizes) <= 40 * 3 ** 8
 
 
 def test_broken_construction_fails_bulk_verification(gf8b, monkeypatch):

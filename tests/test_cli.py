@@ -241,6 +241,20 @@ def test_count_progress_with_jobs(capsys):
     assert err.splitlines()[-1] == "progress 100%"
 
 
+def test_count_progress_covers_enumeration(capsys):
+    """The parametrized enumeration reports progress per (a11, a22)
+    group on stderr and leaves stdout unchanged."""
+    argv = ("count", "--m", "3", "--poly", "11", "--set", "SI_MDS")
+    code1, out1, err1 = run(capsys, *argv)
+    code2, out2, err2 = run(capsys, *argv, "--progress")
+    assert code1 == code2 == 0 and err1 == ""
+    drop = lambda s: {k: v for k, v in json.loads(s).items() if k != "seconds"}
+    assert drop(out2) == drop(out1)
+    assert drop(out1)["brute_force"] == 403368
+    lines = err2.splitlines()
+    assert len(lines) == 49 and lines[-1] == "progress 100%"
+
+
 def test_count_repeat_runs_identical(capsys):
     _, out1, _ = run(capsys, "count", "--m", "2", "--poly", "7",
                      "--set", "SI_MDS")

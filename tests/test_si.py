@@ -311,6 +311,36 @@ def test_associated_diagonals_tables_match_loop(monkeypatch, gf4, gf8, gf16a):
     assert [associated_diagonals(A) for A in samples] == by_tables
 
 
+def _built_si(gf, seed, count):
+    """Semi-involutory matrices built from seeded parameters with s != 0."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = SiParams(gf, *(rng.randrange(1, gf.q) for _ in range(8)))
+        if sum_conditions(p).s != 0:
+            out.append(build_matrix(p))
+    return out
+
+
+def test_least_witness_is_first_associated_diagonal(monkeypatch, gf8, gf8b, gf16a):
+    """`si_check_3x3`'s witness search, over the diagonals with d1 = 1
+    only, finds the least of all associated diagonals: on every
+    semi-involutory matrix over GF(4) and on built ones over GF(8) and
+    GF(16), and, by the scalar loop, also none on the other matrices."""
+    from simds import si
+    gf4_si = gf4_si_matrices()
+    assert len(gf4_si) == 8370
+    built = _built_si(gf8b, 59, 300) + _built_si(gf16a, 61, 300)
+    for A in gf4_si + built:
+        assert si._least_witness(A) == associated_diagonals(A)[0]
+    monkeypatch.setattr(si, "TABLE_MAX_Q", 0)
+    mixed = _seeded_sample(gf8, 47, 200)
+    assert any(not associated_diagonals(A) for A in mixed)
+    for A in mixed + built[:20]:
+        wits = associated_diagonals(A)
+        assert si._least_witness(A) == (wits[0] if wits else None)
+
+
 class _Forbidden(Exception):
     pass
 
@@ -329,7 +359,7 @@ def test_oracle_does_not_read_entry_test(monkeypatch, gf4, gf8):
     assert any(v.si for v in before) and not all(v.si for v in before)
     for name in ("si_check_3x3", "triangle_products_agree", "product_det",
                  "nowhere_zero_si", "minor", "det3", "_block_form_si",
-                 "eigenvector_check"):
+                 "eigenvector_check", "_least_witness"):
         monkeypatch.setattr(si, name, _forbidden)
     for A in samples:  # the patches reach every branch that reads them
         zeros = [i == j for i, row in enumerate(A.rows)
@@ -381,6 +411,7 @@ def test_entry_test_searches_diagonals_only_for_witness(monkeypatch, gf4, gf8):
     verdicts = [si_oracle(A).si for A in samples]
     assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100
     monkeypatch.setattr(si, "associated_diagonals", _forbidden)
+    monkeypatch.setattr(si, "_least_witness", _forbidden)
     for A, is_si in zip(samples, verdicts):
         if is_si:
             with pytest.raises(_Forbidden):
