@@ -20,14 +20,13 @@ from .errors import BudgetError, InternalMismatchError
 from .field import GF, validate_modulus
 from .matrix import Diagonal, Matrix
 from .si import (SiVerdict, associated_diagonals, associated_scalar,
-                 canonical_witness, eigenvector_check, si_check_3x3,
+                 canonical_witness, si_check_3x3,
                  si_oracle, si_product_det)
 
 __all__ = [
     "GF", "validate_modulus", "Matrix", "Diagonal",
     "SiVerdict", "si_oracle", "si_check_3x3", "si_product_det",
     "associated_diagonals", "associated_scalar", "canonical_witness",
-    "eigenvector_check",
     "SiParams", "SumConditions", "build_matrix", "sum_conditions",
     "predicted_invariants", "minor_formulas", "extract_xy",
     "curupira_matrix", "curupira_is_mds",

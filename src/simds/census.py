@@ -20,7 +20,12 @@ with an independent brute-force verifier at desk scale:
   stages (SI_MDS: the six off-diagonal entries, then a11, a22, a33;
   INV_MDS: row 0 and column 0, then a22 and a32, then a23, then a33)
   and tests each condition at the first stage where every entry it
-  reads is known, so the candidates a test rejects are never expanded;
+  reads is known, so the candidates a test rejects are never expanded.
+  Each stage crosses the survivors, as (r, 1) columns, with the values
+  of its new entries, as a (1, w) row, by broadcasting, so a product
+  that does not read a new entry is computed once per survivor; the
+  MDS test, which reads every entry, runs last on the flat survivors
+  of the SI (or A^2 = I) test;
 * the parameter sweep, which checks the construction's MDS, A D A,
   determinant and zero-pattern claims on every 8-tuple (a11, a22, a33,
   d1, d2, d3, x, y): x, y and a block of R 6-tuples lie on three
@@ -62,9 +67,13 @@ SET_NAMES = ("S", "S1", "S2", "S3", "S4", "S5", "SI_MDS", "INV_MDS")
 
 CSV_HEADER = "set,q,formula,brute_force,match,seconds"
 
-# rows per block; `bulk_ops`'s `take` copies each index to 8-byte intp,
-# which bounds the peak RSS
+# rows (or broadcast pairs) per block; `bulk_ops`'s `take` copies each
+# index to 8-byte intp, which bounds the peak RSS
 _CHUNK = 1 << 18
+
+# Spans of the 6-tuples, or of a matrix census's first stage, per scan,
+# so that a one-process scan still reports progress.
+_SCAN_SPANS = 8
 
 
 def formula_count(set_name: str, m: int) -> int:
@@ -167,12 +176,15 @@ def _count_tuples_worker(args) -> int:
                _tuple_set_chunks(GF.from_dict(field_dict), subset, lo, hi))
 
 
-def brute_force_S(gf: GF, subset: str = "S", jobs: int = 1) -> int:
-    """Literal enumeration of the named 6-tuple set over (F_q^*)^6."""
+def brute_force_S(gf: GF, subset: str = "S", jobs: int = 1,
+                  progress=None) -> int:
+    """Literal enumeration of the named 6-tuple set over (F_q^*)^6.
+    `progress(fraction)` is called as each span of the 6-tuples
+    finishes."""
     _require_char2_desk(gf)
     total = (gf.q - 1) ** 6
-    parts = _run_partitioned(_count_tuples_worker, (gf.to_dict(), subset), total, jobs)
-    return sum(parts)
+    return sum(_run_partitioned(_count_tuples_worker, (gf.to_dict(), subset), total,
+                                jobs, parts=_SCAN_SPANS, progress=progress))
 
 
 def distinct_diag_inner_count(gf: GF, a11: int, a22: int, a33: int) -> int:
@@ -224,7 +236,7 @@ def _product_entry(f, a, b, i: int, j: int) -> np.ndarray:
 
 def _rest_of_identity(f, e) -> np.ndarray:
     """The six entries of A^2 = I that no earlier INV_MDS stage tests."""
-    ok = np.ones(len(e[0]), dtype=bool)
+    ok = True
     for i, j in ((0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)):
         ok &= _product_entry(f, e, e, i, j) == int(i == j)
     return ok
@@ -237,6 +249,11 @@ def _rest_of_identity(f, e) -> np.ndarray:
 # the early tests only drop candidates sooner, and the non-singularity
 # the entry-level test presumes is part of `_mds_mask`.  Every INV_MDS
 # candidate still meets all nine entries of A^2 = I and `_mds_mask`.
+# A stage's tests run on the broadcast grid of the survivors, as (r, 1)
+# columns, by its new entries' values, as a (1, w) row, so a product
+# that does not read a new entry spans only the r survivors.  `_mds_mask`
+# reads every entry but adds none: it is a last stage of its own, run
+# on the flat survivors of the SI (or A^2 = I) test, not on the grid.
 _STAGES = {
     "SI_MDS": (
         ((1, 2, 3, 5, 6, 7), (triangle_products_agree,)),
@@ -246,57 +263,72 @@ _STAGES = {
                                       minor(f, e, (1, 2), (0, 1))),)),
         ((8,), (lambda f, e: _nonzero(minor(f, e, (0, 2), (1, 2)),
                                       minor(f, e, (1, 2), (0, 2))),
-                lambda f, e: product_det(f, e) == 0, _mds_mask)),
+                lambda f, e: product_det(f, e) == 0)),
+        ((), (_mds_mask,)),
     ),
     "INV_MDS": (
         ((0, 1, 2, 3, 6), (lambda f, e: _product_entry(f, e, e, 0, 0) == 1,)),
         ((4, 7), (lambda f, e: _product_entry(f, e, e, 0, 1) == 0,)),
         ((5,), (lambda f, e: _product_entry(f, e, e, 1, 0) == 0,)),
-        ((8,), (_rest_of_identity, _mds_mask)),
+        ((8,), (_rest_of_identity,)),
+        ((), (_mds_mask,)),
     ),
 }
 
 # The largest q each target is scanned at.  At q = 16 the SI_MDS stages
-# send 2.2e9 candidates to the final stage (4.2e6 at q = 8), the INV_MDS
-# stages 1.0e7.
+# cross 2.2e9 candidates with a33 (4.2e6 at q = 8), the INV_MDS stages
+# 1.0e7; as broadcast grids they are computed in blocks, so they bound
+# the time, not the memory.
 _SCAN_MAX_Q = {"SI_MDS": 8, "INV_MDS": 16}
 
-# Spans of the first stage per scan, so that a one-process scan still
-# reports progress.
-_SCAN_SPANS = 8
+def _cross(f, tests, old: dict, new: dict) -> dict:
+    """The pairs of a survivor of `old` and a value of `new` (dicts of
+    flat columns keyed by entry index) that pass every test, as flat
+    columns.  The tests see the survivors as (r, 1) columns and the
+    values as a (1, w) row, and their masks are ANDed over that
+    broadcast grid; the kept (row, col) pairs gather the old entries by
+    row and the new ones by col.  Either dict may be empty."""
+    e = {pos: col[:, None] for pos, col in old.items()}
+    e.update((pos, col[None, :]) for pos, col in new.items())
+    shape = np.broadcast_shapes(*(col.shape for col in e.values()))
+    mask = True
+    for test in tests:
+        mask = mask & test(f, e)
+    row, col = np.nonzero(np.broadcast_to(mask, shape))
+    kept = {pos: c[row] for pos, c in old.items()}
+    kept.update((pos, c[col]) for pos, c in new.items())
+    return kept
 
 
 def _staged_count(f, q: int, stages, lo: int, hi: int) -> int:
     """Count the candidates passing every stage's tests, over the rows
-    [lo, hi) of the first stage's entries (all in F_q^*, digit order).
-    Each later stage crosses the survivors with every non-zero value of
-    its entries, depth-first, in blocks of at most `_CHUNK` rows."""
-    grids = [nonzero_grid(q, len(entries)) for entries, _ in stages[1:]]
-    first = stages[0][0]
+    [lo, hi) of the first stage's entries (all in F_q^*, digit order),
+    in blocks of at most `_CHUNK` rows; each block's survivors go
+    through the later stages depth-first by `_descend`."""
+    first, tests = stages[0]
     count = 0
     for start in range(lo, hi, _CHUNK):
         cols = _digits(start, min(start + _CHUNK, hi), len(first), q - 1)
-        count += _descend(f, stages, grids, 0, dict(zip(first, cols)))
+        count += _descend(f, q, stages, 1, _cross(f, tests, {}, dict(zip(first, cols))))
     return count
 
 
-def _descend(f, stages, grids, k: int, e: dict) -> int:
-    for test in stages[k][1]:
-        keep = np.flatnonzero(test(f, e))
-        e = {pos: col[keep] for pos, col in e.items()}
-    n = len(keep)
-    if k + 1 == len(stages):
+def _descend(f, q: int, stages, k: int, e: dict) -> int:
+    """Count the survivors `e` (flat columns) of stages before k that
+    pass stage k and every later stage.  Stage k crosses them with
+    every non-zero value of its w = (q-1)^len(entries) new entries
+    (w = 1 for a stage that adds none) by `_cross`, in blocks of at
+    most `_CHUNK` pairs, and compacts each block's survivors once."""
+    n = len(next(iter(e.values())))
+    if k == len(stages):
         return n
-    grid = grids[k]
-    width = len(grid[0])
-    step = max(1, _CHUNK // width)
+    entries, tests = stages[k]
+    grid = dict(zip(entries, nonzero_grid(q, len(entries))))
+    step = max(1, _CHUNK // (q - 1) ** len(entries))
     count = 0
     for start in range(0, n, step):
-        block = {pos: np.repeat(col[start:start + step], width)
-                 for pos, col in e.items()}
-        reps = min(step, n - start)
-        block.update(zip(stages[k + 1][0], (np.tile(g, reps) for g in grid)))
-        count += _descend(f, stages, grids, k + 1, block)
+        block = {pos: col[start:start + step] for pos, col in e.items()}
+        count += _descend(f, q, stages, k + 1, _cross(f, tests, block, grid))
     return count
 
 
@@ -635,7 +667,7 @@ def run_census(gf: GF, sets=None, mode: str = "both", exhaustive: bool = False,
         if mode == "both":
             try:
                 if name in ("S", "S1", "S2", "S3", "S4", "S5"):
-                    brute = brute_force_S(gf, name, jobs=jobs)
+                    brute = brute_force_S(gf, name, jobs=jobs, progress=progress)
                 elif name == "SI_MDS" and not exhaustive:
                     stats = enumeration_stats(gf, long_run=long_run,
                                               progress=progress)

@@ -76,14 +76,6 @@ class Matrix:
         bt = other.transpose().rows
         return Matrix(gf, [[_dot(gf, row, col) for col in bt] for row in self.rows])
 
-    def apply(self, vec) -> tuple:
-        """Matrix-vector product."""
-        gf = self.gf
-        vec = tuple(vec)
-        if len(vec) != self.n:
-            raise ValueError("vector length mismatch")
-        return tuple(_dot(gf, row, vec) for row in self.rows)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.gf, list(zip(*self.rows)))
 

@@ -223,18 +223,6 @@ def si_product_det(A: Matrix) -> int:
     return product_det(A.gf, r[0] + r[1] + r[2])
 
 
-def eigenvector_check(B: Matrix, D1: Diagonal, x) -> bool:
-    """Whether x is an eigenvector of B D1, scanning all field elements
-    as candidate eigenvalues."""
-    gf = B.gf
-    x = tuple(x)
-    if all(v == 0 for v in x):
-        raise ValueError("the zero vector is not an eigenvector")
-    v = (B @ D1).apply(x)
-    return any(all(vi == gf.mul(lam, xi) for vi, xi in zip(v, x))
-               for lam in gf.elements())
-
-
 def _block_form_si(f, e):
     """The reducible-form branch.  In A or its transpose t, a row k zero
     off the diagonal makes A permutation-similar to [[B, x], [0 0, t_kk]]

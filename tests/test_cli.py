@@ -255,6 +255,22 @@ def test_count_progress_covers_enumeration(capsys):
     assert len(lines) == 49 and lines[-1] == "progress 100%"
 
 
+def test_count_progress_covers_tuple_sets(capsys, inline_pool):
+    """A tuple-set count reports progress per span of the 6-tuples on
+    stderr, at jobs=1 too, and leaves its count unchanged."""
+    argv = ("count", "--m", "3", "--poly", "11", "--set", "S")
+    code1, out1, err1 = run(capsys, *argv)
+    code2, out2, err2 = run(capsys, *argv, "--progress")
+    code3, out3, _ = run(capsys, *argv, "--jobs", "3")
+    assert code1 == code2 == code3 == 0 and err1 == ""
+    drop = lambda s: {k: v for k, v in json.loads(s).items() if k != "seconds"}
+    assert drop(out1) == drop(out2) == drop(out3)
+    assert drop(out1)["brute_force"] == 57624
+    lines = err2.splitlines()
+    assert len(lines) >= 8 and lines[-1] == "progress 100%"
+    assert inline_pool == [min(3, os.cpu_count() or 1)]
+
+
 def test_count_repeat_runs_identical(capsys):
     _, out1, _ = run(capsys, "count", "--m", "2", "--poly", "7",
                      "--set", "SI_MDS")

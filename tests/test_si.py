@@ -6,8 +6,8 @@ import pytest
 
 from simds import (GF, BudgetError, Diagonal, Matrix, SiParams,
                    associated_diagonals, associated_scalar, build_matrix,
-                   canonical_witness, eigenvector_check, si_check_3x3,
-                   si_oracle, si_product_det, sum_conditions)
+                   canonical_witness, si_check_3x3, si_oracle,
+                   si_product_det, sum_conditions)
 
 GF4 = GF(2, 2, 0b111)
 
@@ -133,17 +133,6 @@ def test_si_product_det_nonzero_for_non_si(gf8):
             seen_nonzero += 1
             assert not si_check_3x3(A).si
     assert seen_nonzero > 100
-
-
-def test_eigenvector_check(gf4):
-    I2 = Matrix.identity(gf4, 2)
-    assert eigenvector_check(I2, Diagonal(gf4, [1, 1]), (1, 2))
-    assert eigenvector_check(Matrix(gf4, [[2, 0], [0, 3]]),
-                             Diagonal(gf4, [1, 1]), (1, 0))
-    assert not eigenvector_check(Matrix(gf4, [[0, 1], [1, 0]]),
-                                 Diagonal(gf4, [1, 1]), (1, 2))
-    with pytest.raises(ValueError):
-        eigenvector_check(I2, Diagonal(gf4, [1, 1]), (0, 0))
 
 
 def test_associated_scalar(gf8, gf4, f11):
@@ -359,7 +348,7 @@ def test_oracle_does_not_read_entry_test(monkeypatch, gf4, gf8):
     assert any(v.si for v in before) and not all(v.si for v in before)
     for name in ("si_check_3x3", "triangle_products_agree", "product_det",
                  "nowhere_zero_si", "minor", "det3", "_block_form_si",
-                 "eigenvector_check", "_least_witness"):
+                 "_least_witness"):
         monkeypatch.setattr(si, name, _forbidden)
     for A in samples:  # the patches reach every branch that reads them
         zeros = [i == j for i, row in enumerate(A.rows)
