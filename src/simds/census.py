@@ -21,11 +21,12 @@ with an independent brute-force verifier at desk scale:
   INV_MDS: row 0 and column 0, then a22 and a32, then a23, then a33)
   and tests each condition at the first stage where every entry it
   reads is known, so the candidates a test rejects are never expanded.
-  Each stage crosses the survivors, as (r, 1) columns, with the values
-  of its new entries, as a (1, w) row, by broadcasting, so a product
-  that does not read a new entry is computed once per survivor; the
-  MDS test, which reads every entry, runs last on the flat survivors
-  of the SI (or A^2 = I) test;
+  Each stage crosses the values of its new entries, as (w, 1) columns,
+  with the survivors, as a (1, r) row, by broadcasting, so a product
+  that does not read a new entry is computed once per survivor and
+  numpy's inner loops run along the survivors; the MDS test, which
+  reads every entry, runs last on the flat survivors of the SI (or
+  A^2 = I) test;
 * the parameter sweep, which checks the construction's MDS, A D A,
   determinant and zero-pattern claims on every 8-tuple (a11, a22, a33,
   d1, d2, d3, x, y): x, y and a block of R 6-tuples lie on three
@@ -249,9 +250,13 @@ def _rest_of_identity(f, e) -> np.ndarray:
 # the early tests only drop candidates sooner, and the non-singularity
 # the entry-level test presumes is part of `_mds_mask`.  Every INV_MDS
 # candidate still meets all nine entries of A^2 = I and `_mds_mask`.
-# A stage's tests run on the broadcast grid of the survivors, as (r, 1)
-# columns, by its new entries' values, as a (1, w) row, so a product
-# that does not read a new entry spans only the r survivors.  `_mds_mask`
+# A stage's tests run on the broadcast grid of its new entries' values,
+# as (w, 1) columns, by the survivors, as a (1, r) row, so a product
+# that does not read a new entry spans only the r survivors, and the
+# long axis is innermost.  The minors on a11 and a22 run at their
+# stages because they shrink the grids crossed with a22 and a33; the a33
+# stage runs only `product_det`, since the two minors on a33 would
+# shrink no later grid: `_mds_mask` tests them again.  `_mds_mask`
 # reads every entry but adds none: it is a last stage of its own, run
 # on the flat survivors of the SI (or A^2 = I) test, not on the grid.
 _STAGES = {
@@ -261,9 +266,7 @@ _STAGES = {
                                       minor(f, e, (0, 2), (0, 1))),)),
         ((4,), (lambda f, e: _nonzero(minor(f, e, (0, 1), (1, 2)),
                                       minor(f, e, (1, 2), (0, 1))),)),
-        ((8,), (lambda f, e: _nonzero(minor(f, e, (0, 2), (1, 2)),
-                                      minor(f, e, (1, 2), (0, 2))),
-                lambda f, e: product_det(f, e) == 0)),
+        ((8,), (lambda f, e: product_det(f, e) == 0,)),
         ((), (_mds_mask,)),
     ),
     "INV_MDS": (
@@ -284,19 +287,21 @@ _SCAN_MAX_Q = {"SI_MDS": 8, "INV_MDS": 16}
 def _cross(f, tests, old: dict, new: dict) -> dict:
     """The pairs of a survivor of `old` and a value of `new` (dicts of
     flat columns keyed by entry index) that pass every test, as flat
-    columns.  The tests see the survivors as (r, 1) columns and the
-    values as a (1, w) row, and their masks are ANDed over that
-    broadcast grid; the kept (row, col) pairs gather the old entries by
-    row and the new ones by col.  Either dict may be empty."""
-    e = {pos: col[:, None] for pos, col in old.items()}
-    e.update((pos, col[None, :]) for pos, col in new.items())
+    columns.  The tests see the values as (w, 1) columns and the
+    survivors as a (1, r) row, innermost, so that numpy's inner loops
+    run over the r survivors rather than the few new values, and their
+    masks are ANDed over that broadcast grid, whose kept (value,
+    survivor) index pairs gather the new entries and the old ones.
+    Either dict may be empty."""
+    e = {pos: col[None, :] for pos, col in old.items()}
+    e.update((pos, col[:, None]) for pos, col in new.items())
     shape = np.broadcast_shapes(*(col.shape for col in e.values()))
     mask = True
     for test in tests:
         mask = mask & test(f, e)
-    row, col = np.nonzero(np.broadcast_to(mask, shape))
-    kept = {pos: c[row] for pos, c in old.items()}
-    kept.update((pos, c[col]) for pos, c in new.items())
+    value, survivor = np.nonzero(np.broadcast_to(mask, shape))
+    kept = {pos: c[survivor] for pos, c in old.items()}
+    kept.update((pos, c[value]) for pos, c in new.items())
     return kept
 
 
@@ -315,10 +320,11 @@ def _staged_count(f, q: int, stages, lo: int, hi: int) -> int:
 
 def _descend(f, q: int, stages, k: int, e: dict) -> int:
     """Count the survivors `e` (flat columns) of stages before k that
-    pass stage k and every later stage.  Stage k crosses them with
-    every non-zero value of its w = (q-1)^len(entries) new entries
-    (w = 1 for a stage that adds none) by `_cross`, in blocks of at
-    most `_CHUNK` pairs, and compacts each block's survivors once."""
+    pass stage k and every later stage.  Stage k crosses every non-zero
+    value of its w = (q-1)^len(entries) new entries (w = 1 for a stage
+    that adds none), as (w, 1) columns, with blocks of the survivors,
+    as (1, r) rows, by `_cross`: at most `_CHUNK` pairs a block, and
+    each block's survivors compacted once."""
     n = len(next(iter(e.values())))
     if k == len(stages):
         return n

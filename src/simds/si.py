@@ -202,11 +202,20 @@ def product_det(f, e):
          [a12*a31, a22*a32, a32*a33]]
 
     whose vanishing is the condition that only the nowhere-zero branch
-    imposes."""
+    imposes.
+
+    It is expanded along the product matrix's column 2, the only one
+    that reads a33: `det3` expands along row 0 of the transpose with its
+    rows cycled to (2, 0, 1), a cyclic and so even permutation, which
+    keeps the sign in any characteristic.  Its cofactors then read no
+    a33, so with a33 on an axis of its own only four of the 18 products
+    (a31 a33, a32 a33 and the two that multiply them by a cofactor) span
+    that axis."""
     mul = f.mul
-    return det3(f, [mul(e[0], e[3]), mul(e[3], e[4]), mul(e[5], e[6]),
-                    mul(e[0], e[6]), mul(e[3], e[7]), mul(e[6], e[8]),
-                    mul(e[1], e[6]), mul(e[4], e[7]), mul(e[7], e[8])])
+    p = [mul(e[0], e[3]), mul(e[3], e[4]), mul(e[5], e[6]),
+         mul(e[0], e[6]), mul(e[3], e[7]), mul(e[6], e[8]),
+         mul(e[1], e[6]), mul(e[4], e[7]), mul(e[7], e[8])]
+    return det3(f, p[2::3] + p[0::3] + p[1::3])
 
 
 def nowhere_zero_si(f, e):
