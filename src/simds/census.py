@@ -24,9 +24,11 @@ with an independent brute-force verifier at desk scale:
   Each stage crosses the values of its new entries, as (w, 1) columns,
   with the survivors, as a (1, r) row, by broadcasting, so a product
   that does not read a new entry is computed once per survivor and
-  numpy's inner loops run along the survivors; the MDS test, which
-  reads every entry, runs last on the flat survivors of the SI (or
-  A^2 = I) test;
+  numpy's inner loops run along the survivors.  The grid's mask is
+  compacted flat, by `np.flatnonzero`, each kept index splitting by
+  divmod into a (value, survivor) pair.  The MDS test, which reads
+  every entry, runs last on the flat survivors of the SI (or A^2 = I)
+  test;
 * the parameter sweep, which checks the construction's MDS, A D A,
   determinant and zero-pattern claims on every 8-tuple (a11, a22, a33,
   d1, d2, d3, x, y): x, y and a block of R 6-tuples lie on three
@@ -254,9 +256,12 @@ def _rest_of_identity(f, e) -> np.ndarray:
 # as (w, 1) columns, by the survivors, as a (1, r) row, so a product
 # that does not read a new entry spans only the r survivors, and the
 # long axis is innermost.  The minors on a11 and a22 run at their
-# stages because they shrink the grids crossed with a22 and a33; the a33
-# stage runs only `product_det`, since the two minors on a33 would
-# shrink no later grid: `_mds_mask` tests them again.  `_mds_mask`
+# stages because they shrink the grids crossed with a22 and a33: the a22
+# stage also tests a11 a22 - a12 a21, which reads no a33 and so is known
+# there, and cuts the a33 grid at q = 8 from 4,235,364 pairs to
+# 3,529,470.  The a33 stage runs only `product_det`, since the two minors
+# on a33 would shrink no later grid: `_mds_mask` tests them again, as it
+# tests every minor the earlier stages did.  `_mds_mask`
 # reads every entry but adds none: it is a last stage of its own, run
 # on the flat survivors of the SI (or A^2 = I) test, not on the grid.
 _STAGES = {
@@ -265,7 +270,8 @@ _STAGES = {
         ((0,), (lambda f, e: _nonzero(minor(f, e, (0, 1), (0, 2)),
                                       minor(f, e, (0, 2), (0, 1))),)),
         ((4,), (lambda f, e: _nonzero(minor(f, e, (0, 1), (1, 2)),
-                                      minor(f, e, (1, 2), (0, 1))),)),
+                                      minor(f, e, (1, 2), (0, 1)),
+                                      minor(f, e, (0, 1), (0, 1))),)),
         ((8,), (lambda f, e: product_det(f, e) == 0,)),
         ((), (_mds_mask,)),
     ),
@@ -279,9 +285,9 @@ _STAGES = {
 }
 
 # The largest q each target is scanned at.  At q = 16 the SI_MDS stages
-# cross 2.2e9 candidates with a33 (4.2e6 at q = 8), the INV_MDS stages
-# 1.0e7; as broadcast grids they are computed in blocks, so they bound
-# the time, not the memory.
+# cross 2.1e9 candidates with a33 (3.5e6 at q = 8; counted by running the
+# stages before a33 alone), the INV_MDS stages 1.0e7; as broadcast grids
+# they are computed in blocks, so they bound the time, not the memory.
 _SCAN_MAX_Q = {"SI_MDS": 8, "INV_MDS": 16}
 
 def _cross(f, tests, old: dict, new: dict) -> dict:
@@ -290,8 +296,10 @@ def _cross(f, tests, old: dict, new: dict) -> dict:
     columns.  The tests see the values as (w, 1) columns and the
     survivors as a (1, r) row, innermost, so that numpy's inner loops
     run over the r survivors rather than the few new values, and their
-    masks are ANDed over that broadcast grid, whose kept (value,
-    survivor) index pairs gather the new entries and the old ones.
+    masks are ANDed over that broadcast grid.  The grid is compacted
+    flat, by `np.flatnonzero`, and each kept flat index splits by
+    divmod by r into the (value, survivor) pair that gathers the new
+    entries and the old ones, in the order of 2-D `np.nonzero`.
     Either dict may be empty."""
     e = {pos: col[None, :] for pos, col in old.items()}
     e.update((pos, col[:, None]) for pos, col in new.items())
@@ -299,7 +307,7 @@ def _cross(f, tests, old: dict, new: dict) -> dict:
     mask = True
     for test in tests:
         mask = mask & test(f, e)
-    value, survivor = np.nonzero(np.broadcast_to(mask, shape))
+    value, survivor = divmod(np.flatnonzero(np.broadcast_to(mask, shape)), shape[1])
     kept = {pos: c[survivor] for pos, c in old.items()}
     kept.update((pos, c[value]) for pos, c in new.items())
     return kept

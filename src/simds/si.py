@@ -205,17 +205,25 @@ def product_det(f, e):
     imposes.
 
     It is expanded along the product matrix's column 2, the only one
-    that reads a33: `det3` expands along row 0 of the transpose with its
-    rows cycled to (2, 0, 1), a cyclic and so even permutation, which
-    keeps the sign in any characteristic.  Its cofactors then read no
-    a33, so with a33 on an axis of its own only four of the 18 products
-    (a31 a33, a32 a33 and the two that multiply them by a cofactor) span
-    that axis."""
+    that reads a33, with a33 factored out of the two entries that hold
+    it:
+
+        (a23 a31) M0 + a33 (a32 M2 - a31 M1)
+
+    where M0, M1 and M2 are the 2x2 minors of columns 0 and 1 on rows
+    (1, 2), (0, 2) and (0, 1).  The middle cofactor's sign is carried by
+    the subtraction, so the value holds in any characteristic.  None of
+    the minors reads a33, so with a33 on an axis of its own only one of
+    the 17 products (a33 times the bracket) spans that axis."""
     mul = f.mul
-    p = [mul(e[0], e[3]), mul(e[3], e[4]), mul(e[5], e[6]),
-         mul(e[0], e[6]), mul(e[3], e[7]), mul(e[6], e[8]),
-         mul(e[1], e[6]), mul(e[4], e[7]), mul(e[7], e[8])]
-    return det3(f, p[2::3] + p[0::3] + p[1::3])
+    a23, a31, a32, a33 = e[5], e[6], e[7], e[8]
+    c0 = (mul(e[0], e[3]), mul(e[0], a31), mul(e[1], a31))
+    c1 = (mul(e[3], e[4]), mul(e[3], a32), mul(e[4], a32))
+    m0 = det2(f, c0[1], c1[1], c0[2], c1[2])
+    m1 = det2(f, c0[0], c1[0], c0[2], c1[2])
+    m2 = det2(f, c0[0], c1[0], c0[1], c1[1])
+    return f.add(mul(mul(a23, a31), m0),
+                 mul(a33, f.sub(mul(a32, m2), mul(a31, m1))))
 
 
 def nowhere_zero_si(f, e):

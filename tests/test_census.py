@@ -8,7 +8,7 @@ from simds import (GF, BudgetError, InternalMismatchError, Matrix, brute_force_S
                    exhaustive_matrix_census, formula_count, run_census,
                    sweep_parameter_space)
 from simds import census
-from simds._tables import _digits, bulk_ops, mul_table
+from simds._tables import _digits, bulk_ops, mul_table, nonzero_grid
 from simds.census import (CSV_HEADER, SET_NAMES, _mds_mask, _nonzero,
                           _pack_keys)
 from simds.construct import construction_entries, decisive_sums
@@ -122,19 +122,24 @@ def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
 
 
 @pytest.mark.parametrize("q, target, want", [
-    (8, "SI_MDS", [[117649, 16807], [117649, 100842], [705894, 605052],
-                   [4235364, 403368], [403368, 403368]]),
+    (8, "SI_MDS", [[117649, 16807], [117649, 100842], [705894, 504210],
+                   [3529470, 403368], [403368, 403368]]),
     (8, "INV_MDS", [[16807, 2107], [103243, 12642], [88494, 12642],
                     [88494, 1176], [1176, 1176]]),
     (16, "INV_MDS", [[759375, 47475], [10681875, 664650], [9969750, 664650],
                      [9969750, 37800], [37800, 37800]]),
 ])
-def test_scan_survivor_counts(gf8b, gf16a, monkeypatch, q, target, want):
+def test_scan_survivor_counts(gf8, gf8b, gf16a, q, target, want):
     """Per stage of the exhaustive scan, the candidates it sees and,
     after each of its tests, those that pass it and the stage's earlier
     ones, counted over the broadcast shape of the stage's blocks: facts
-    of the field, pinned here."""
-    gf = {8: gf8b, 16: gf16a}[q]
+    of the field, pinned here.  The two GF(8) moduli give isomorphic
+    fields, and so the same counts."""
+    for gf in {8: (gf8b, gf8), 16: (gf16a,)}[q]:
+        assert _scan_survivor_counts(gf, target) == want
+
+
+def _scan_survivor_counts(gf, target):
     stages = census._STAGES[target]
     counts = [[0] * (len(tests) + 1) for _, tests in stages]
 
@@ -149,10 +154,11 @@ def test_scan_survivor_counts(gf8b, gf16a, monkeypatch, q, target, want):
             return mask
         return test
 
-    monkeypatch.setitem(census._STAGES, target, tuple(
-        (entries, (counting(k, tests),)) for k, (entries, tests) in enumerate(stages)))
-    assert exhaustive_matrix_census(gf, target) == formula_count(target, gf.m)
-    assert counts == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(census._STAGES, target, tuple(
+            (entries, (counting(k, tests),)) for k, (entries, tests) in enumerate(stages)))
+        assert exhaustive_matrix_census(gf, target) == formula_count(target, gf.m)
+    return counts
 
 
 @pytest.mark.parametrize("target", ["SI_MDS", "INV_MDS"])
@@ -184,6 +190,54 @@ def test_scan_puts_survivors_innermost(gf8b, monkeypatch, target):
     assert all(seen[1:])
 
 
+def _cross_by_nonzero(f, tests, old, new):
+    """Reference: `census._cross` with its mask compacted by 2-D
+    `np.nonzero`, which yields the (value, survivor) pairs row-major."""
+    e = {pos: col[None, :] for pos, col in old.items()}
+    e.update((pos, col[:, None]) for pos, col in new.items())
+    mask = np.ones(np.broadcast_shapes(*(col.shape for col in e.values())), dtype=bool)
+    for test in tests:
+        mask &= test(f, e)
+    value, survivor = np.nonzero(mask)
+    kept = {pos: c[survivor] for pos, c in old.items()}
+    kept.update((pos, c[value]) for pos, c in new.items())
+    return kept
+
+
+@pytest.mark.parametrize("old, new, fill", [
+    ((1, 2, 3, 5), (0,), None),
+    ((1, 2, 3, 5), (0, 4), False),
+    ((1, 2, 3, 5), (0, 4), True),
+    ((), (1, 2, 3), None),               # a first stage: no survivors yet
+    (tuple(range(9)), (), None),         # no new entries (w = 1), as for `_mds_mask`
+])
+def test_cross_keeps_pairs_and_order(gf8b, old, new, fill):
+    """`_cross` keeps the same (value, survivor) pairs, in the same order,
+    as 2-D `np.nonzero` of its mask: on seeded masks over the (w, r) grid
+    and over each of its axes, and on all-False and all-True masks, for
+    r = 1 and longer survivor rows."""
+    rng = np.random.default_rng(41)
+    f = bulk_ops(gf8b)
+    grid = dict(zip(new, nonzero_grid(gf8b.q, len(new))))
+    w = (gf8b.q - 1) ** len(new)
+    for r in (1, 5, 300) if old else (1,):
+        block = {pos: rng.integers(1, gf8b.q, size=r, dtype=np.uint8) for pos in old}
+        if fill is None:
+            masks = [rng.random(shape) < rng.uniform(0.2, 0.9)
+                     for shape in ((w, r), (1, r), (w, 1))]
+        else:
+            masks = [np.full((w, r), fill)]
+        tests = [lambda f, e, m=m: m for m in masks]
+        got = census._cross(f, tests, block, grid)
+        want = _cross_by_nonzero(f, tests, block, grid)
+        assert set(got) == set(old) | set(new)
+        for pos in want:
+            assert got[pos].dtype == want[pos].dtype
+            assert np.array_equal(got[pos], want[pos])
+        if fill is not None:
+            assert len(got[new[0]]) == (w * r if fill else 0)
+
+
 def _count_mul_elements(gf, monkeypatch) -> list:
     """Patch `bulk_ops(gf).mul` to record the size of each product array
     it returns; returns the list it appends to."""
@@ -203,14 +257,16 @@ def _count_mul_elements(gf, monkeypatch) -> list:
 def test_scan_products_per_candidate(gf8b, monkeypatch):
     """Each stage of the SI_MDS scan crosses its survivors with its new
     entries by broadcasting, so a product that does not read a new entry
-    spans only the survivors; `product_det`'s cofactors read no a33, and
-    the a33 stage runs no minor.  At q = 8 the scan takes at most 1.0
-    products per nowhere-zero candidate (0.90), where expanding
+    spans only the survivors; `product_det` multiplies by a33 once, the
+    a22 stage tests a11 a22 - a12 a21 so that fewer pairs reach a33, and
+    the a33 stage runs no minor.  At q = 8 the scan takes at most 0.6
+    products per nowhere-zero candidate (0.58), where four products on
+    the a33 grid and no third minor at a22 took 0.90, expanding
     `product_det` along row 0 and testing the a33 minors on the grid
-    took 1.50, and copying each survivor once per new value 2.34."""
+    1.50, and copying each survivor once per new value 2.34."""
     sizes = _count_mul_elements(gf8b, monkeypatch)
     assert exhaustive_matrix_census(gf8b, "SI_MDS") == 403368
-    assert sum(sizes) <= 1.0 * 7 ** 9
+    assert sum(sizes) <= 0.6 * 7 ** 9
 
 
 def _inv_mds_by_flat_scan(gf):
