@@ -258,12 +258,12 @@ def _rest_of_identity(f, e) -> np.ndarray:
 # long axis is innermost.  The minors on a11 and a22 run at their
 # stages because they shrink the grids crossed with a22 and a33: the a22
 # stage also tests a11 a22 - a12 a21, which reads no a33 and so is known
-# there, and cuts the a33 grid at q = 8 from 4,235,364 pairs to
-# 3,529,470.  The a33 stage runs only `product_det`, since the two minors
-# on a33 would shrink no later grid: `_mds_mask` tests them again, as it
-# tests every minor the earlier stages did.  `_mds_mask`
-# reads every entry but adds none: it is a last stage of its own, run
-# on the flat survivors of the SI (or A^2 = I) test, not on the grid.
+# there; 3,529,470 pairs reach the a33 grid at q = 8.  The a33 stage
+# runs only `product_det`, since the two minors on a33 would shrink no
+# later grid: `_mds_mask` tests them again, as it tests every minor the
+# earlier stages did.  `_mds_mask` reads every entry but adds none: it
+# is a last stage of its own, run on the flat survivors of the SI (or
+# A^2 = I) test, not on the grid.
 _STAGES = {
     "SI_MDS": (
         ((1, 2, 3, 5, 6, 7), (triangle_products_agree,)),

@@ -7,11 +7,11 @@ detectors are provided:
 
 * `si_oracle` enumerates every non-singular diagonal and is therefore
   valid for any small field and size, at (q-1)^n cost;
-* `si_check_3x3` decides the 3x3 case from the entries alone, by a
-  three-branch case split on the zero pattern with a closed form in
-  each branch, and searches diagonals only for a witness.  Its
-  conditions take a field argument `f` and the entries row by row, so
-  `census` runs `nowhere_zero_si` and a `matrix.minor` on arrays.
+* `si_check_3x3` decides the 3x3 case from the entries alone, by two
+  closed forms: `nowhere_zero_si` for a matrix with at most one zero,
+  and a 2x2 block form for two or more.  It searches diagonals only for
+  a witness.  Its conditions take a field argument `f` and the entries
+  row by row, so `census` runs `nowhere_zero_si` on arrays.
 
 The two must agree everywhere; the test suite compares them
 exhaustively over GF(3) and GF(4) and on samples over GF(5), GF(7),
@@ -28,7 +28,7 @@ import numpy as np
 from ._tables import bulk_ops, nonzero_grid
 from .errors import BudgetError, InternalMismatchError
 from .field import TABLE_MAX_Q
-from .matrix import Diagonal, Matrix, det2, det3, minor
+from .matrix import Diagonal, Matrix, det2
 
 BRANCH_REDUCIBLE = "reducible-form"
 BRANCH_SINGLE_ZERO = "single-zero"
@@ -201,34 +201,26 @@ def product_det(f, e):
          [a11*a31, a21*a32, a31*a33],
          [a12*a31, a22*a32, a32*a33]]
 
-    whose vanishing is the condition that only the nowhere-zero branch
-    imposes.
+    whose vanishing, with the triangle products agreeing, makes a
+    non-singular matrix with at most one zero semi-involutory.  Over the
+    integers it equals
 
-    It is expanded along the product matrix's column 2, the only one
-    that reads a33, with a33 factored out of the two entries that hold
-    it:
+        a33 (a11 n^2 - a22 t) + a23 a32 t,   t = a31^2 m,
 
-        (a23 a31) M0 + a33 (a32 M2 - a31 M1)
-
-    where M0, M1 and M2 are the 2x2 minors of columns 0 and 1 on rows
-    (1, 2), (0, 2) and (0, 1).  The middle cofactor's sign is carried by
-    the subtraction, so the value holds in any characteristic.  None of
-    the minors reads a33, so with a33 on an axis of its own only one of
-    the 17 products (a33 times the bracket) spans that axis."""
+    with m = a11 a22 - a12 a21 and n = a21 a32 - a22 a31 minors of A, so
+    the form holds in any characteristic.  It forms 12 products, and only
+    one of them (a33 times the bracket) reads a33."""
     mul = f.mul
+    a11, a12, a21, a22 = e[0], e[1], e[3], e[4]
     a23, a31, a32, a33 = e[5], e[6], e[7], e[8]
-    c0 = (mul(e[0], e[3]), mul(e[0], a31), mul(e[1], a31))
-    c1 = (mul(e[3], e[4]), mul(e[3], a32), mul(e[4], a32))
-    m0 = det2(f, c0[1], c1[1], c0[2], c1[2])
-    m1 = det2(f, c0[0], c1[0], c0[2], c1[2])
-    m2 = det2(f, c0[0], c1[0], c0[1], c1[1])
-    return f.add(mul(mul(a23, a31), m0),
-                 mul(a33, f.sub(mul(a32, m2), mul(a31, m1))))
+    n = det2(f, a21, a22, a31, a32)
+    t = mul(mul(a31, a31), det2(f, a11, a12, a21, a22))
+    return f.add(mul(a33, det2(f, a11, a22, t, mul(n, n))), mul(mul(a23, a32), t))
 
 
 def nowhere_zero_si(f, e):
-    """The entry-level test of a non-singular nowhere-zero 3x3 matrix:
-    the triangle products agree and `product_det` vanishes."""
+    """The entry-level test of a non-singular 3x3 matrix with at most
+    one zero: the triangle products agree and `product_det` vanishes."""
     return triangle_products_agree(f, e) & (product_det(f, e) == 0)
 
 
@@ -269,17 +261,29 @@ def _block_form_si(f, e):
 def si_check_3x3(A: Matrix) -> SiVerdict:
     """Entry-level semi-involutory test for 3x3 matrices.
 
-    A non-singular A is semi-involutory exactly when one of three
-    mutually exclusive cases holds, keyed by the number of zero
-    entries:
+    A non-singular A is semi-involutory exactly when, by its number of
+    zero entries:
 
-    * no zeros: the two triangle products a12 a23 a31 and a13 a21 a32
-      agree and `product_det` vanishes;
-    * one zero: the zero sits on the diagonal, the complementary 2x2
-      minor vanishes, and the triangle products agree;
-    * two or more zeros: permutation-similar (possibly after a
+    * at most one zero (`nowhere_zero_si`): the two triangle products
+      a12 a23 a31 and a13 a21 a32 agree and `product_det` vanishes;
+    * two or more zeros: A is permutation-similar (possibly after a
       transpose) to a block form [[B, x], [0, c]] with B semi-involutory
       and x zero or an eigenvector of B W for a witness W of B.
+
+    With one zero the first case is the paper's single-zero condition
+    (the zero sits on the diagonal, the triangle products agree and the
+    complementary 2x2 minor vanishes), since there, with
+    t = a31^2 (a11 a22 - a12 a21), `product_det` factors as
+
+    * zero at a11: -t (a22 a33 - a23 a32), with t != 0;
+    * zero at a33: a23 a32 t;
+    * zero at a22: (a21 a32)^2 (a11 a33 - a13 a31), once the triangle
+      products agree;
+    * zero off the diagonal: exactly one triangle product vanishes, so
+      the two cannot agree.
+
+    The branch label follows the zero count: `nowhere-zero`,
+    `single-zero` or `reducible-form`.
 
     Only a positive verdict searches diagonals, for a witness: the
     canonical one with c = 1 when the matrix is irreducible, and the
@@ -292,16 +296,10 @@ def si_check_3x3(A: Matrix) -> SiVerdict:
         return SiVerdict(False, BRANCH_NOT_SI)
     gf, r = A.gf, A.rows
     e = r[0] + r[1] + r[2]
-    zeros = [k for k, v in enumerate(e) if v == 0]
-    if not zeros:
-        branch = BRANCH_NOWHERE_ZERO
+    zeros = e.count(0)
+    if zeros <= 1:
+        branch = BRANCH_SINGLE_ZERO if zeros else BRANCH_NOWHERE_ZERO
         ok = nowhere_zero_si(gf, e)
-    elif len(zeros) == 1:
-        branch = BRANCH_SINGLE_ZERO
-        i, j = divmod(zeros[0], 3)
-        keep = [k for k in range(3) if k != i]
-        ok = (i == j and triangle_products_agree(gf, e)
-              and minor(gf, e, keep, keep) == 0)
     else:
         branch = BRANCH_REDUCIBLE
         ok = _block_form_si(gf, e)

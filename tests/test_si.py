@@ -11,8 +11,8 @@ from simds import (GF, BudgetError, Diagonal, Matrix, SiParams,
                    canonical_witness, si_check_3x3, si_oracle,
                    si_product_det, sum_conditions)
 from simds._tables import bulk_ops
-from simds.matrix import det3
-from simds.si import product_det
+from simds.matrix import det3, minor
+from simds.si import nowhere_zero_si, product_det
 
 GF4 = GF(2, 2, 0b111)
 
@@ -158,9 +158,7 @@ def test_product_det_keeps_value_and_sign(gf8, gf16a):
 
 def test_product_det_spans_the_a33_axis_once(gf8):
     """With a33 on an axis of its own, as at the scan's a33 stage, only
-    1 of `product_det`'s 17 products spans the full grid: a33 is
-    factored out of column 2 (4 of 18 when it is not, 8 when the
-    product matrix is expanded along row 0)."""
+    1 of `product_det`'s 12 products spans the full grid."""
     f = bulk_ops(gf8)
     shapes = []
 
@@ -174,7 +172,7 @@ def test_product_det_spans_the_a33_axis_once(gf8):
     e.append(np.arange(1, 8, dtype=np.uint8)[:, None])
     det = product_det(SimpleNamespace(mul=mul, add=f.add, sub=f.sub), e)
     assert det.shape == (7, 50)
-    assert len(shapes) == 17 and shapes.count((7, 50)) == 1
+    assert len(shapes) == 12 and shapes.count((7, 50)) == 1
 
 
 def test_si_product_det_nonzero_for_non_si(gf8):
@@ -232,6 +230,46 @@ def test_single_zero_branch():
         i = next(i for i in range(3) if A.rows[i][i] == 0)
         keep = [k for k in range(3) if k != i]
         assert A.submatrix(keep, keep).det() == 0
+
+
+def _single_zero_si(gf, e):
+    """Reference: the paper's single-zero condition on a matrix with one
+    zero.  The zero sits on the diagonal, the triangle products
+    a12 a23 a31 and a13 a21 a32 agree, and the complementary 2x2 minor
+    vanishes."""
+    mul = gf.mul
+    i, j = divmod(e.index(0), 3)
+    keep = [k for k in range(3) if k != i]
+    return (i == j and mul(mul(e[1], e[5]), e[6]) == mul(mul(e[2], e[3]), e[7])
+            and minor(gf, e, keep, keep) == 0)
+
+
+def _one_zero(rng, q):
+    """Nine entries over GF(q), exactly one of them zero."""
+    e = [rng.randrange(1, q) for _ in range(9)]
+    e[rng.randrange(9)] = 0
+    return e
+
+
+def test_single_zero_condition_is_nowhere_zero_si(gf8, gf16a):
+    """On a matrix with one zero, `nowhere_zero_si` is the paper's
+    single-zero condition: on every one-zero matrix over GF(3) and
+    GF(4), and on 20,000 seeded ones each over GF(5), GF(7), GF(8) and
+    GF(16), the last two also in bulk."""
+    rng = random.Random(43)
+    fields = [GF(3), GF4, GF(5), GF(7), gf8, gf16a]
+    cases = {gf: [e for e in map(list, itertools.product(range(gf.q), repeat=9))
+                  if e.count(0) == 1] for gf in fields[:2]}
+    cases.update((gf, [_one_zero(rng, gf.q) for _ in range(20000)])
+                 for gf in fields[2:])
+    assert [len(cases[gf]) for gf in fields[:2]] == [2304, 59049]
+    for gf, es in cases.items():
+        want = [_single_zero_si(gf, e) for e in es]
+        assert [nowhere_zero_si(gf, e) for e in es] == want
+        assert True in want and False in want
+        if gf in (gf8, gf16a):
+            got = nowhere_zero_si(bulk_ops(gf), list(np.array(es, dtype=np.uint8).T))
+            assert got.tolist() == want
 
 
 def test_witness_validity_gf4():
@@ -400,8 +438,7 @@ def test_oracle_does_not_read_entry_test(monkeypatch, gf4, gf8):
     before = [si_oracle(A) for A in samples]
     assert any(v.si for v in before) and not all(v.si for v in before)
     for name in ("si_check_3x3", "triangle_products_agree", "product_det",
-                 "nowhere_zero_si", "minor", "det3", "_block_form_si",
-                 "_least_witness"):
+                 "nowhere_zero_si", "_block_form_si", "_least_witness"):
         monkeypatch.setattr(si, name, _forbidden)
     for A in samples:  # the patches reach every branch that reads them
         zeros = [i == j for i, row in enumerate(A.rows)
