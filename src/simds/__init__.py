@@ -10,9 +10,9 @@ verify the closed-form counts at desk scale.
 
 from .census import (CensusReport, EnumerationStats, SweepResult,
                      brute_force_S, distinct_diag_inner_count,
-                     enumerate_si_mds, enumeration_stats,
-                     exhaustive_matrix_census, formula_count, run_census,
-                     sweep_parameter_space, SET_NAMES)
+                     enumeration_stats, exhaustive_matrix_census,
+                     formula_count, run_census, sweep_parameter_space,
+                     SET_NAMES)
 from .construct import (SiParams, SumConditions, build_matrix,
                         curupira_is_mds, curupira_matrix, extract_xy,
                         minor_formulas, predicted_invariants, sum_conditions)
@@ -20,17 +20,16 @@ from .errors import BudgetError, InternalMismatchError
 from .field import GF, validate_modulus
 from .matrix import Diagonal, Matrix
 from .si import (SiVerdict, associated_diagonals, associated_scalar,
-                 canonical_witness, si_check_3x3,
-                 si_oracle, si_product_det)
+                 canonical_witness, si_check_3x3, si_oracle)
 
 __all__ = [
     "GF", "validate_modulus", "Matrix", "Diagonal",
-    "SiVerdict", "si_oracle", "si_check_3x3", "si_product_det",
+    "SiVerdict", "si_oracle", "si_check_3x3",
     "associated_diagonals", "associated_scalar", "canonical_witness",
     "SiParams", "SumConditions", "build_matrix", "sum_conditions",
     "predicted_invariants", "minor_formulas", "extract_xy",
     "curupira_matrix", "curupira_is_mds",
-    "formula_count", "brute_force_S", "enumerate_si_mds",
+    "formula_count", "brute_force_S",
     "enumeration_stats", "exhaustive_matrix_census", "run_census",
     "sweep_parameter_space", "distinct_diag_inner_count",
     "CensusReport", "EnumerationStats", "SweepResult", "SET_NAMES",

@@ -164,19 +164,17 @@ def _tuple_set_masks(f, cols: list[np.ndarray], subset: str) -> np.ndarray:
     raise ValueError(f"unknown tuple subset {subset!r}")
 
 
-def _tuple_set_chunks(gf: GF, subset: str, lo: int, hi: int):
-    """(columns, mask of the named set) for each chunk of the 6-tuples
-    [lo, hi) in digit order."""
+def _count_tuples_worker(args) -> int:
+    """The size of the named set among the 6-tuples [lo, hi) in digit
+    order, counted in chunks of `_CHUNK`."""
+    field_dict, subset, lo, hi = args
+    gf = GF.from_dict(field_dict)
     f = bulk_ops(gf)
+    count = 0
     for start in range(lo, hi, _CHUNK):
         cols = _digits(start, min(start + _CHUNK, hi), 6, gf.q - 1)
-        yield cols, _tuple_set_masks(f, cols, subset)
-
-
-def _count_tuples_worker(args) -> int:
-    field_dict, subset, lo, hi = args
-    return sum(int(mask.sum()) for _, mask in
-               _tuple_set_chunks(GF.from_dict(field_dict), subset, lo, hi))
+        count += int(_tuple_set_masks(f, cols, subset).sum())
+    return count
 
 
 def brute_force_S(gf: GF, subset: str = "S", jobs: int = 1,
@@ -399,11 +397,6 @@ def _unpack_keys(keys, m: int) -> list[np.ndarray]:
             for k in range(9)]
 
 
-def _unpack_key(key: int, m: int, gf: GF) -> Matrix:
-    vals = [int(v) for v in _unpack_keys(np.uint64(key), m)]
-    return Matrix(gf, [vals[0:3], vals[3:6], vals[6:9]])
-
-
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct values of `keys`, flattened (as `np.unique`):
     a sort, then each key that differs from its predecessor."""
@@ -453,9 +446,11 @@ def _parametrized_groups(gf: GF):
     group = (gf.q - 1) ** 4
     seen = 0
     for lo in range(0, (gf.q - 1) ** 6, group):
-        chunks = [[col[mask] for col in cols] for cols, mask in
-                  _tuple_set_chunks(gf, "S", lo, lo + group)]
-        s_cols = [np.concatenate(parts) for parts in zip(*chunks)]
+        # (q-1)^4 <= 50,625 6-tuples at q <= 16, one `_CHUNK` at most;
+        # the group's keys, (q-1)^2 times as many, bound the memory
+        cols = _digits(lo, lo + group, 6, gf.q - 1)
+        mask = _tuple_set_masks(f, cols, "S")
+        s_cols = [col[mask] for col in cols]
         keys = [np.empty(0, np.uint64)]  # a group may hold no S tuple
         for start in range(0, len(s_cols[0]), row_batch):
             six = [c[start:start + row_batch, None] for c in s_cols]
@@ -482,41 +477,19 @@ def _parametrized_groups(gf: GF):
         yield _distinct(np.concatenate(keys)), len(s_cols[0]) * nxy
 
 
-def _enumeration_budget(gf: GF, long_run: bool) -> None:
-    _require_char2_desk(gf)
-    if gf.q > 8 and not long_run:
-        raise BudgetError("q = 16 enumerates ~1.3e8 matrices and needs "
-                          "the long-run flag")
-
-
-def enumerate_si_mds(gf: GF, mode: str = "count", long_run: bool = False):
-    """Build every matrix from the valid 6-tuples crossed with all
-    (x, y), and count the distinct ones (packed 9-entry keys, sorted
-    and deduplicated per batch and per (a11, a22) group).
-
-    Every distinct matrix of each batch, and so every built matrix, is
-    verified semi-involutory and MDS in bulk by the entry-level test,
-    and every 4096th matrix of the build order also by the scalar
-    `is_mds` and the independent `si_oracle`; any failure raises
-    InternalMismatchError.  `mode="emit"` returns a generator of the
-    distinct matrices in ascending key order, each re-verified the same
-    way as it is produced.
-    """
-    if mode not in ("count", "emit"):
-        raise ValueError("mode must be 'count' or 'emit'")
-    _enumeration_budget(gf, long_run)
-    if mode == "emit":
-        return _emit_si_mds(gf)
-    return enumeration_stats(gf, long_run=long_run).distinct
-
-
 def enumeration_stats(gf: GF, long_run: bool = False,
                       progress=None) -> EnumerationStats:
     """Run the parametrized enumeration and report distinct-matrix and
     tuple counts side by side (their ratio measures how many parameter
-    tuples collide on one matrix).  `progress(fraction)` is called as
-    each of the (q-1)^2 (a11, a22) groups finishes."""
-    _enumeration_budget(gf, long_run)
+    tuples collide on one matrix).  Every built matrix is verified as
+    `_parametrized_groups` describes; a failure raises
+    InternalMismatchError.  q = 16 needs `long_run`, else BudgetError.
+    `progress(fraction)` is called as each of the (q-1)^2 (a11, a22)
+    groups finishes."""
+    _require_char2_desk(gf)
+    if gf.q > 8 and not long_run:
+        raise BudgetError("q = 16 enumerates ~1.3e8 matrices and needs "
+                          "the long-run flag")
     distinct = tuple_count = 0
     groups = (gf.q - 1) ** 2
     for done, (keys, n) in enumerate(_parametrized_groups(gf), 1):
@@ -525,23 +498,6 @@ def enumeration_stats(gf: GF, long_run: bool = False,
         if progress is not None:
             progress(done / groups)
     return EnumerationStats(distinct, tuple_count)
-
-
-def _sorted_keys(gf: GF):
-    """The distinct keys in ascending order, one array per a11: a11
-    leads the key, and the (a11, a22) groups of one a11 are disjoint."""
-    groups = _parametrized_groups(gf)
-    for same_a11 in zip(*[groups] * (gf.q - 1)):
-        yield np.sort(np.concatenate([keys for keys, _ in same_a11]))
-
-
-def _emit_si_mds(gf: GF):
-    for keys in _sorted_keys(gf):
-        for key in keys:
-            mtx = _unpack_key(int(key), gf.m, gf)
-            if not (mtx.is_mds() and si_oracle(mtx).si):
-                raise InternalMismatchError("emitted matrix failed re-verification")
-            yield mtx
 
 
 # -- full parameter-space sweep ----------------------------------------

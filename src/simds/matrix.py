@@ -8,8 +8,11 @@ otherwise; inverses use Gauss-Jordan elimination at every size.  The 2x2
 and 3x3 forms, `det2`, `minor` and `det3`, are written over a field
 argument `f`, so the same lines judge one matrix of ints (f = gf) and
 arrays of matrices (f = `_tables.bulk_ops(gf)`).  `is_mds` takes
-each minor's `_det` from plain rows, and examines at most
-MDS_MINOR_BUDGET minors, so a check ends in bounded time at any n.
+each minor's `_det` from plain rows.
+
+CHECK_BUDGET, fixed at 4096, caps the work of a single-matrix check: the
+minors `is_mds` examines and the diagonals `si.associated_diagonals`
+searches, so a check ends in bounded time at any n and q.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ from itertools import combinations, permutations
 from .errors import BudgetError
 from .field import GF, json_ints
 
-# the most minors `Matrix.is_mds` examines, as many as the diagonals
-# `si.associated_diagonals` searches by default
-MDS_MINOR_BUDGET = 4096
+CHECK_BUDGET = 4096
 
 
 def check_permutation(perm, n: int) -> tuple:
@@ -114,7 +115,7 @@ class Matrix:
         """True iff every square submatrix of every order is non-singular.
 
         The n^2 entries count as the 1x1 minors.  Raises BudgetError
-        rather than examine more than MDS_MINOR_BUDGET minors, which
+        rather than examine more than CHECK_BUDGET minors, which
         covers all C(2n, n) - 1 of them for every n <= 7.
         """
         gf, r, n = self.gf, self.rows, self.n
@@ -126,10 +127,10 @@ class Matrix:
             for rs in combinations(idx, size):
                 for cs in combinations(idx, size):
                     examined += 1
-                    if examined > MDS_MINOR_BUDGET:
+                    if examined > CHECK_BUDGET:
                         raise BudgetError(f"the MDS test of a {n}x{n} matrix "
                                           f"examines more than "
-                                          f"{MDS_MINOR_BUDGET} minors")
+                                          f"{CHECK_BUDGET} minors")
                     if _det(gf, [[r[i][j] for j in cs] for i in rs]) == 0:
                         return False
         return True

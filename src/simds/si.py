@@ -28,15 +28,13 @@ import numpy as np
 from ._tables import bulk_ops, nonzero_grid
 from .errors import BudgetError, InternalMismatchError
 from .field import TABLE_MAX_Q
-from .matrix import Diagonal, Matrix, det2
+from .matrix import CHECK_BUDGET, Diagonal, Matrix, det2
 
 BRANCH_REDUCIBLE = "reducible-form"
 BRANCH_SINGLE_ZERO = "single-zero"
 BRANCH_NOWHERE_ZERO = "nowhere-zero"
 BRANCH_ORACLE = "oracle-only"
 BRANCH_NOT_SI = "not-si"
-
-DEFAULT_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -82,16 +80,17 @@ def _ada_entry(f, t, d):
     return s
 
 
-def associated_diagonals(A: Matrix, budget: int = DEFAULT_BUDGET) -> list[tuple]:
+def associated_diagonals(A: Matrix) -> list[tuple]:
     """All non-singular diagonals D with ADA diagonal and non-singular,
     in ascending lexicographic order of the diagonal entries.
 
-    This is a literal exhaustive scan of (q-1)^n diagonals.  For
-    characteristic 2 and q <= TABLE_MAX_Q the scan is evaluated over
-    the whole grid at once with the bulk field arithmetic of
-    `_tables.bulk_ops`; the result is identical to the scalar loop.
+    This is a literal exhaustive scan of (q-1)^n diagonals; it raises
+    BudgetError when (q-1)^n exceeds the fixed cap `CHECK_BUDGET` =
+    4096.  For characteristic 2 and q <= TABLE_MAX_Q the scan is
+    evaluated over the whole grid at once with the bulk field arithmetic
+    of `_tables.bulk_ops`; the result is identical to the scalar loop.
     """
-    return _diagonals_with_lead(A, (), budget)
+    return _diagonals_with_lead(A, ())
 
 
 def _least_witness(A: Matrix) -> tuple | None:
@@ -99,18 +98,19 @@ def _least_witness(A: Matrix) -> tuple | None:
 
     A non-zero multiple of a witness is a witness, so the least one has
     d1 = 1: only the (q-1)^(n-1) diagonals with d1 = 1 are searched."""
-    wits = _diagonals_with_lead(A, (1,), DEFAULT_BUDGET)
+    wits = _diagonals_with_lead(A, (1,))
     return wits[0] if wits else None
 
 
-def _diagonals_with_lead(A: Matrix, lead: tuple, budget: int) -> list[tuple]:
+def _diagonals_with_lead(A: Matrix, lead: tuple) -> list[tuple]:
     """The associated diagonals of A that begin with `lead`, ascending,
     searched over every non-zero value of the remaining entries."""
     gf, n = A.gf, A.n
     free = n - len(lead)
     total = (gf.q - 1) ** free
-    if total > budget:
-        raise BudgetError(f"(q-1)^{free} = {total} exceeds the search budget {budget}")
+    if total > CHECK_BUDGET:
+        raise BudgetError(f"(q-1)^{free} = {total} exceeds the search budget "
+                          f"{CHECK_BUDGET}")
     coeff = _ada_coefficients(A)
     cells = [(i, j) for i in range(n) for j in range(n)]
     if gf.p != 2 or gf.q > TABLE_MAX_Q:
@@ -165,16 +165,17 @@ def _verify_witness(A: Matrix, d: tuple) -> None:
                                             "non-singular diagonal")
 
 
-def si_oracle(A: Matrix, budget: int = DEFAULT_BUDGET) -> SiVerdict:
+def si_oracle(A: Matrix) -> SiVerdict:
     """Exhaustive-search semi-involutory test, valid for any small field.
 
     Scans all (q-1)^n non-singular diagonals and returns the
     lexicographically least witness.  Raises ValueError on a singular
-    matrix and BudgetError when the scan would exceed `budget`.
+    matrix and BudgetError when (q-1)^n exceeds the fixed cap
+    `CHECK_BUDGET` = 4096.
     """
     if A.det() == 0:
         raise ValueError("singular matrix cannot be semi-involutory")
-    wits = associated_diagonals(A, budget)
+    wits = associated_diagonals(A)
     if not wits:
         return SiVerdict(False, BRANCH_NOT_SI)
     d = wits[0]
@@ -222,14 +223,6 @@ def nowhere_zero_si(f, e):
     """The entry-level test of a non-singular 3x3 matrix with at most
     one zero: the triangle products agree and `product_det` vanishes."""
     return triangle_products_agree(f, e) & (product_det(f, e) == 0)
-
-
-def si_product_det(A: Matrix) -> int:
-    """`product_det` of a 3x3 matrix."""
-    if A.n != 3:
-        raise ValueError("defined for 3x3 matrices only")
-    r = A.rows
-    return product_det(A.gf, r[0] + r[1] + r[2])
 
 
 def _block_form_si(f, e):

@@ -13,8 +13,8 @@ import pytest
 
 from simds import (GF, Diagonal, Matrix, SiParams,
                    associated_scalar, brute_force_S, build_matrix,
-                   enumerate_si_mds, enumeration_stats,
-                   exhaustive_matrix_census, extract_xy, formula_count,
+                   enumeration_stats, exhaustive_matrix_census,
+                   extract_xy, formula_count,
                    minor_formulas, predicted_invariants, si_check_3x3,
                    si_oracle, sum_conditions, sweep_parameter_space)
 from simds._tables import _digits, bulk_ops
@@ -57,7 +57,7 @@ def test_c02_exhaustive_scan_gf8():
 def test_c03_nonexistence_gf4():
     with criterion("C3", "no semi-involutory MDS matrix exists over GF(2^2)"):
         t0 = time.monotonic()
-        assert enumerate_si_mds(GF4) == 0
+        assert enumeration_stats(GF4).distinct == 0
         assert exhaustive_matrix_census(GF4, "SI_MDS") == 0
         assert time.monotonic() - t0 < 1.0
 
@@ -244,4 +244,4 @@ def test_c10_property_suites():
         assert brute_force_S(GF8B, "S", jobs=3) == brute_force_S(GF8B, "S")
         assert (exhaustive_matrix_census(GF4, "SI_MDS", jobs=2)
                 == exhaustive_matrix_census(GF4, "SI_MDS"))
-        assert enumerate_si_mds(GF8B) == 403368
+        assert enumeration_stats(GF8B).distinct == 403368

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simds import (GF, BudgetError, InternalMismatchError, Matrix, brute_force_S,
-                   distinct_diag_inner_count, enumerate_si_mds, enumeration_stats,
+                   distinct_diag_inner_count, enumeration_stats,
                    exhaustive_matrix_census, formula_count, run_census,
                    sweep_parameter_space)
 from simds import census
@@ -366,7 +366,7 @@ def test_distinct_diag_inner_identity_gf8(gf8b):
 
 
 def test_enumerate_gf4_empty(gf4):
-    assert enumerate_si_mds(gf4) == 0
+    assert enumeration_stats(gf4).distinct == 0
 
 
 def test_enumerate_gf8(gf8b):
@@ -429,32 +429,9 @@ def test_spot_checks_follow_build_order(gf8b, built_keys_gf8b, monkeypatch):
     assert keys == built_keys_gf8b[::4096].tolist()
 
 
-def test_emit_keys_ascend(gf8b, built_keys_gf8b):
-    """The emit stream is the global dedup in ascending key order, also
-    across a11 boundaries."""
-    blocks = list(census._sorted_keys(gf8b))
-    assert len(blocks) == 7
-    keys = np.concatenate(blocks)
-    assert (keys[1:] > keys[:-1]).all()
-    assert np.array_equal(keys, np.unique(built_keys_gf8b))
-    first = itertools.islice(enumerate_si_mds(gf8b, mode="emit"), 40)
-    assert [m.rows for m in first] == [census._unpack_key(int(k), 3, gf8b).rows
-                                       for k in keys[:40]]
-
-
-def test_emit_stream(gf8b):
-    stream = enumerate_si_mds(gf8b, mode="emit")
-    first = list(itertools.islice(stream, 40))
-    assert len(first) == 40
-    keys = [m.rows for m in first]
-    assert keys == sorted(keys)
-    for m in first:
-        assert m.is_mds()
-
-
 def test_budget_policies(gf16a):
     with pytest.raises(BudgetError):
-        enumerate_si_mds(gf16a)  # needs long_run
+        enumeration_stats(gf16a)  # needs long_run
     with pytest.raises(BudgetError):
         exhaustive_matrix_census(gf16a, "SI_MDS")
     with pytest.raises(BudgetError):
@@ -663,8 +640,3 @@ def test_pack_unpack_round_trip(m, poly):
     back = census._unpack_keys(keys, m)
     assert all(col.dtype == np.uint8 for col in back)
     assert all(np.array_equal(a, b) for a, b in zip(back, e))
-    gf = GF(2, m, poly)
-    for i in range(50):
-        want = [int(col[i]) for col in back]
-        assert census._unpack_key(int(keys[i]), m, gf).rows == (
-            tuple(want[0:3]), tuple(want[3:6]), tuple(want[6:9]))

@@ -89,6 +89,19 @@ def test_check_large_n_exit_3(capsys):
         assert time.monotonic() - t0 < 2.0
 
 
+def test_check_oracle_budget_exit_3(capsys):
+    """The semi-involutory check of a non-singular 4x4 matrix over
+    GF(16) stops at its diagonal budget: 15^4 diagonals exceed 4096."""
+    gf = GF(2, 4, 0b10011)
+    rows = [[gf.inv(i ^ (4 + j)) for j in range(4)] for i in range(4)]
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "check", "--json",
+                         json.dumps({**gf.to_dict(), "rows": rows}))
+    assert code == 3 and not out
+    assert err == "budget: (q-1)^4 = 50625 exceeds the search budget 4096\n"
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_count_many_jobs_capped(capsys, inline_pool):
     code, out, _ = run(capsys, "count", "--m", "2", "--poly", "7",
                        "--set", "S", "--jobs", "100000")
