@@ -9,11 +9,13 @@ with an independent brute-force verifier at desk scale:
 * the parametrized enumeration, which builds every matrix from the
   tuples in S x (x, y), broadcasting batches of S tuples as (R, 1)
   columns against the (1, (q-1)^2) row of all (x, y), and deduplicates
-  by a packed 9-entry key with a sort, one (a11, a22) group at a time:
-  both are matrix entries, so two groups never share a matrix, and
-  memory is bounded by one group's keys.  Each batch's distinct matrices are
-  verified in bulk by the entry-level test, and every 4096th matrix of
-  the build order by `Matrix.is_mds` and the independent `si_oracle`;
+  with a sort, one (a11, a22) group at a time: both are matrix entries,
+  so two groups never share a matrix, a key packs only the other seven
+  entries into 32 bits, and memory is bounded by one group's keys.
+  Each batch's distinct matrices are verified in bulk by the entry-level
+  test, and every 4096th matrix of the build order by `Matrix.is_mds`
+  and by the independent literal diagonal search, batched as
+  `si.oracle_hits`;
 * the exhaustive matrix census, which judges all (q-1)^9 nowhere-zero
   3x3 matrices and counts the semi-involutory MDS (or involutory MDS)
   ones with no reference to the construction.  It fixes the entries in
@@ -36,43 +38,41 @@ with an independent brute-force verifier at desk scale:
   is computed only over the parameters it reads (a12 and a21 over the
   6-tuple and x, a23 and a32 over the 6-tuple and y), and only a13,
   a31 and what reads them span all (q-1)^2 R 8-tuples of the block.
+  A block holds a quarter of `_CHUNK` 8-tuples, since about 35 arrays
+  of its size are alive at once.
 
-Bulk work runs on numpy lookup tables in fixed-size chunks.  The tuple
-sets, the matrix census and the sweep can be partitioned across
-processes by contiguous index ranges (of the 6-tuples, for the sweep),
-and their counts are independent of the partitioning; the enumeration
-runs in one process.  The kernels take the field argument
-f = `_tables.bulk_ops(gf)`.  The tuple sets, the enumeration and the
-sweep take the construction's sums, entries, det and A D A diagonal
-from `construct`; the exhaustive matrix census reads none of them and
-judges semi-involutory matrices by the entry-level test's conditions
-in `si`.  Minors and determinants come from `matrix`.
+Bulk work runs on numpy lookup tables in fixed-size chunks of
+`_tables._CHUNK` rows or broadcast pairs.  The tuple sets, the matrix
+census and the sweep can be partitioned across processes by contiguous
+index ranges (of the 6-tuples, for the sweep), and their counts are
+independent of the partitioning; the enumeration runs in one process.
+The kernels take the field argument f = `_tables.bulk_ops(gf)`.  The
+tuple sets, the enumeration and the sweep take the construction's sums,
+entries, det and A D A diagonal from `construct`; the exhaustive matrix
+census reads none of them and judges semi-involutory matrices by the
+entry-level test's conditions in `si`.  Minors and determinants come
+from `matrix`.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from ._tables import _digits, bulk_ops, nonzero_grid
+from ._tables import _CHUNK, _digits, bulk_ops, nonzero_grid
 from .construct import construction_entries, decisive_sums, det_and_ada
 from .errors import BudgetError, InternalMismatchError
 from .field import GF
 from .matrix import Matrix, det3, minor, minors
-from .si import nowhere_zero_si, product_det, si_oracle, triangle_products_agree
+from .si import nowhere_zero_si, oracle_hits, product_det, triangle_products_agree
 
 SET_NAMES = ("S", "S1", "S2", "S3", "S4", "S5", "SI_MDS", "INV_MDS")
 
 CSV_HEADER = "set,q,formula,brute_force,match,seconds"
-
-# rows (or broadcast pairs) per block; `bulk_ops`'s `take` copies each
-# index to 8-byte intp, which bounds the peak RSS
-_CHUNK = 1 << 18
 
 # Spans of the 6-tuples, or of a matrix census's first stage, per scan,
 # so that a one-process scan still reports progress.
@@ -127,6 +127,8 @@ def _run_partitioned(worker, args, total: int, jobs: int, parts: int = 1,
     tasks = [(*args, lo, hi) for lo, hi in _ranges(total, max(jobs, parts))]
     if jobs <= 1 or len(tasks) <= 1:
         return _reported(map(worker, tasks), len(tasks), progress)
+    # imported here: a one-process run never needs it
+    from concurrent.futures import ProcessPoolExecutor, as_completed
     # the pool may start every worker on the first submit
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -379,22 +381,24 @@ _SPOT_CHECK_STRIDE = 4096
 
 
 def _pack_keys(e, m: int) -> np.ndarray:
-    """One uint64 key per matrix, entry 0 in the top bits, for m-bit
-    entries with 9 m <= 64 (m <= 7); a larger m raises ValueError.  The
-    entries broadcast."""
-    if 9 * m > 64:
-        raise ValueError(f"nine {m}-bit entries do not fit a 64-bit key")
-    key = e[0].astype(np.uint64)
+    """One uint32 key per matrix from its m-bit entries `e`, the first
+    in the top bits; more than 32 bits raise ValueError.  A group packs
+    the seven entries other than its constant a11 and a22, 7 m <= 28
+    bits at the enumeration's q <= 16.  The entries broadcast."""
+    if len(e) * m > 32:
+        raise ValueError(f"{len(e)} {m}-bit entries do not fit a 32-bit key")
+    key = e[0].astype(np.uint32)
     for col in e[1:]:
-        key = (key << np.uint64(m)) | col.astype(np.uint64)
+        key = (key << np.uint32(m)) | col.astype(np.uint32)
     return key
 
 
-def _unpack_keys(keys, m: int) -> list[np.ndarray]:
-    """The nine uint8 entry arrays that `_pack_keys` packed into `keys`."""
-    mask = np.uint64((1 << m) - 1)
-    return [((keys >> np.uint64(m * (8 - k))) & mask).astype(np.uint8)
-            for k in range(9)]
+def _unpack_keys(keys, m: int, count: int) -> list[np.ndarray]:
+    """The `count` uint8 entry arrays that `_pack_keys` packed into
+    `keys`."""
+    mask = np.uint32((1 << m) - 1)
+    return [((keys >> np.uint32(m * (count - 1 - k))) & mask).astype(np.uint8)
+            for k in range(count)]
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -428,17 +432,20 @@ class EnumerationStats:
 def _parametrized_groups(gf: GF):
     """Build every matrix from the S tuples crossed with all (x, y), one
     (a11, a22) group at a time in digit order, and yield each group's
-    sorted distinct keys with its tuple count.
+    (a11, a22), its sorted distinct keys and its tuple count.
 
     A batch holds up to `_CHUNK // (q-1)^2` S tuples as (R, 1) columns,
     crossed by broadcasting with the (1, (q-1)^2) row of all (x, y).
-    Its matrices are deduplicated by packed key, and each
-    distinct one, unpacked from its key, is verified semi-involutory (by
-    the entry-level test) and MDS in bulk: every built matrix is among
-    them, since packing is lossless.  Every `_SPOT_CHECK_STRIDE`-th
-    matrix of the build order is also checked by `Matrix.is_mds` and
-    then `si_oracle`, which refuses the singular matrices `is_mds`
-    rejects first.  Any failure raises InternalMismatchError."""
+    Its matrices are deduplicated by a uint32 key packing the seven
+    entries other than a11 and a22, which are the group's constants.
+    Each distinct matrix, unpacked from its key with a11 and a22 added
+    back, is verified semi-involutory (by the entry-level test) and MDS
+    in bulk: every built matrix is among them, since packing is
+    lossless.  Every `_SPOT_CHECK_STRIDE`-th matrix of the build order
+    is also checked by `Matrix.is_mds`, one at a time, and by the
+    literal diagonal search of `si.oracle_hits`, once per batch, which
+    finds no diagonal for a singular matrix.  Any failure raises
+    InternalMismatchError."""
     f = bulk_ops(gf)
     x, y = (g[None, :] for g in nonzero_grid(gf.q, 2))
     nxy = x.shape[1]
@@ -449,14 +456,17 @@ def _parametrized_groups(gf: GF):
         # (q-1)^4 <= 50,625 6-tuples at q <= 16, one `_CHUNK` at most;
         # the group's keys, (q-1)^2 times as many, bound the memory
         cols = _digits(lo, lo + group, 6, gf.q - 1)
+        a11, a22 = int(cols[0][0]), int(cols[1][0])
         mask = _tuple_set_masks(f, cols, "S")
         s_cols = [col[mask] for col in cols]
-        keys = [np.empty(0, np.uint64)]  # a group may hold no S tuple
+        keys = [np.empty(0, np.uint32)]  # a group may hold no S tuple
         for start in range(0, len(s_cols[0]), row_batch):
             six = [c[start:start + row_batch, None] for c in s_cols]
             e = construction_entries(f, decisive_sums(f, *six), *six, x, y)
-            batch = _distinct(_pack_keys(e, gf.m))
-            d = _unpack_keys(batch, gf.m)
+            batch = _distinct(_pack_keys(e[1:4] + e[5:], gf.m))
+            d = _unpack_keys(batch, gf.m, 7)
+            d[0:0] = [np.full(len(batch), a11, np.uint8)]
+            d[4:4] = [np.full(len(batch), a22, np.uint8)]
             ok = _nonzero(*d) & nowhere_zero_si(f, d) & _mds_mask(f, d)
             if not ok.all():
                 raise InternalMismatchError(
@@ -466,15 +476,16 @@ def _parametrized_groups(gf: GF):
             built = shape[0] * nxy
             at = np.unravel_index(
                 np.arange(-seen % _SPOT_CHECK_STRIDE, built, _SPOT_CHECK_STRIDE), shape)
-            picked = [np.broadcast_to(v, shape)[at].tolist() for v in e]
-            for vals in zip(*picked):
+            picked = [np.broadcast_to(v, shape)[at] for v in e]
+            found = oracle_hits(gf, picked).any(axis=1)
+            for vals, hit in zip(zip(*(v.tolist() for v in picked)), found):
                 mtx = Matrix(gf, [vals[0:3], vals[3:6], vals[6:9]])
-                if not (mtx.is_mds() and si_oracle(mtx).si):
+                if not (mtx.is_mds() and hit):
                     raise InternalMismatchError(
                         f"enumerated matrix {mtx!r} failed the scalar spot check")
             seen += built
             keys.append(batch)
-        yield _distinct(np.concatenate(keys)), len(s_cols[0]) * nxy
+        yield (a11, a22), _distinct(np.concatenate(keys)), len(s_cols[0]) * nxy
 
 
 def enumeration_stats(gf: GF, long_run: bool = False,
@@ -492,7 +503,7 @@ def enumeration_stats(gf: GF, long_run: bool = False,
                           "the long-run flag")
     distinct = tuple_count = 0
     groups = (gf.q - 1) ** 2
-    for done, (keys, n) in enumerate(_parametrized_groups(gf), 1):
+    for done, (_, keys, n) in enumerate(_parametrized_groups(gf), 1):
         distinct += len(keys)
         tuple_count += n
         if progress is not None:
@@ -523,7 +534,7 @@ def _sweep_worker(args) -> tuple:
     """The four failure counters over the 6-tuples (a11, a22, a33, d1,
     d2, d3) [lo, hi) in digit order, each crossed with every (x, y).
 
-    x, y and a block of up to `_CHUNK // (q-1)^2` 6-tuples each get
+    x, y and a block of up to `_CHUNK // 4 // (q-1)^2` 6-tuples each get
     their own broadcast axis: x is (q-1, 1, 1), y is (1, q-1, 1) and the
     6-tuples are (1, 1, R), innermost so that numpy's inner loops run R
     elements long.  Every bulk operation broadcasts, so each value spans
@@ -540,7 +551,10 @@ def _sweep_worker(args) -> tuple:
     base = gf.q - 1
     (g,) = nonzero_grid(gf.q, 1)
     x, y = g[:, None, None], g[None, :, None]
-    step = max(1, _CHUNK // base ** 2)
+    # a quarter of `_CHUNK` 8-tuples per block: the sweep keeps about 35
+    # arrays of the full grid's size alive at once, where a scan stage
+    # keeps a few
+    step = max(1, _CHUNK // 4 // base ** 2)
     bad = np.zeros(4, dtype=np.int64)
     for start in range(lo, hi, step):
         stop = min(start + step, hi)

@@ -6,7 +6,10 @@ and diagonal for some diagonal D (the "associated diagonal").  Two
 detectors are provided:
 
 * `si_oracle` enumerates every non-singular diagonal and is therefore
-  valid for any small field and size, at (q-1)^n cost;
+  valid for any small field and size, at (q-1)^n cost.  Its search over
+  GF(2^m) tables is `oracle_hits`, which takes a batch of matrices and
+  returns every (matrix, diagonal) hit, so `census` and the tests run it
+  on many matrices at once;
 * `si_check_3x3` decides the 3x3 case from the entries alone, by two
   closed forms: `nowhere_zero_si` for a matrix with at most one zero,
   and a 2x2 block form for two or more.  It searches diagonals only for
@@ -20,14 +23,16 @@ GF(8) and GF(16).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
 
-from ._tables import bulk_ops, nonzero_grid
+from ._tables import _CHUNK, bulk_ops, nonzero_grid
 from .errors import BudgetError, InternalMismatchError
-from .field import TABLE_MAX_Q
+from .field import GF, TABLE_MAX_Q
 from .matrix import CHECK_BUDGET, Diagonal, Matrix, det2
 
 BRANCH_REDUCIBLE = "reducible-form"
@@ -87,8 +92,8 @@ def associated_diagonals(A: Matrix) -> list[tuple]:
     This is a literal exhaustive scan of (q-1)^n diagonals; it raises
     BudgetError when (q-1)^n exceeds the fixed cap `CHECK_BUDGET` =
     4096.  For characteristic 2 and q <= TABLE_MAX_Q the scan is
-    evaluated over the whole grid at once with the bulk field arithmetic
-    of `_tables.bulk_ops`; the result is identical to the scalar loop.
+    `oracle_hits` on a batch of one matrix; the result is identical to
+    the scalar loop.
     """
     return _diagonals_with_lead(A, ())
 
@@ -102,28 +107,84 @@ def _least_witness(A: Matrix) -> tuple | None:
     return wits[0] if wits else None
 
 
+def _search_width(q: int, free: int) -> int:
+    """(q-1)^free, the diagonals a search over `free` entries visits;
+    BudgetError above `CHECK_BUDGET`."""
+    total = (q - 1) ** free
+    if total > CHECK_BUDGET:
+        raise BudgetError(f"(q-1)^{free} = {total} exceeds the search budget "
+                          f"{CHECK_BUDGET}")
+    return total
+
+
 def _diagonals_with_lead(A: Matrix, lead: tuple) -> list[tuple]:
     """The associated diagonals of A that begin with `lead`, ascending,
     searched over every non-zero value of the remaining entries."""
     gf, n = A.gf, A.n
     free = n - len(lead)
-    total = (gf.q - 1) ** free
-    if total > CHECK_BUDGET:
-        raise BudgetError(f"(q-1)^{free} = {total} exceeds the search budget "
-                          f"{CHECK_BUDGET}")
+    if gf.p == 2 and gf.q <= TABLE_MAX_Q:
+        e = np.array(A.rows, dtype=np.uint8).reshape(-1, 1)
+        hits = oracle_hits(gf, e, lead)[0].nonzero()[0]
+        grid = nonzero_grid(gf.q, free)
+        return [lead + tuple(int(col[h]) for col in grid) for h in hits]
+    _search_width(gf.q, free)
     coeff = _ada_coefficients(A)
     cells = [(i, j) for i in range(n) for j in range(n)]
-    if gf.p != 2 or gf.q > TABLE_MAX_Q:
-        return [lead + d for d in product(gf.elements(True), repeat=free)
-                if all((_ada_entry(gf, coeff[i][j], lead + d) != 0) == (i == j)
-                       for i, j in cells)]
-    grid = nonzero_grid(gf.q, free)
-    # one row per cell, one column per diagonal
-    t = np.array([coeff[i][j] for i, j in cells], dtype=np.uint8).T[:, :, None]
-    acc = _ada_entry(bulk_ops(gf), t, lead + grid)
-    on_diag = np.array([i == j for i, j in cells])[:, None]
-    hits = np.flatnonzero(((acc != 0) == on_diag).all(axis=0))
-    return [lead + tuple(int(col[h]) for col in grid) for h in hits]
+    return [lead + d for d in product(gf.elements(True), repeat=free)
+            if all((_ada_entry(gf, coeff[i][j], lead + d) != 0) == (i == j)
+                   for i, j in cells)]
+
+
+@cache
+def _search_plan(q: int, n: int, lead: tuple) -> tuple:
+    """For `oracle_hits`: the width w of the search, its (n, w) diagonals,
+    and per cell c = (i, j) of A D A, off-diagonal cells first, the flat
+    entry indices of a_ik and a_kj (so t[c, k] = a_ik a_kj) and whether
+    the cell lies on the diagonal."""
+    w = _search_width(q, n - len(lead))
+    d = np.stack([np.full(w, v, np.uint8) for v in lead]
+                 + list(nonzero_grid(q, n - len(lead))))
+    d.setflags(write=False)
+    cells = sorted(product(range(n), repeat=2), key=lambda c: c[0] == c[1])
+    ks = np.arange(n)
+    ik = np.array([n * i + ks for i, _ in cells])
+    kj = np.array([n * ks + j for _, j in cells])
+    want = np.array([i == j for i, j in cells])[:, None]
+    return w, d, ik, kj, want
+
+
+def oracle_hits(gf: GF, e, lead: tuple = ()) -> np.ndarray:
+    """The literal diagonal search of `si_oracle` over a batch of N
+    matrices, for characteristic 2 and q <= TABLE_MAX_Q.
+
+    `e` holds the n^2 entries of the n x n matrices row by row
+    (a_{i+1, j+1} = e[n i + j]), each an N-long column.  Returns the
+    (N, w) mask of the (matrix, diagonal) pairs whose A D A is diagonal
+    and non-singular, over the w = (q-1)^(n - len(lead)) diagonals that
+    begin with `lead`, in the order of `nonzero_grid`; BudgetError when
+    w exceeds `CHECK_BUDGET`.  A singular matrix has no hit, since
+    A D A non-singular makes A non-singular.
+
+    The matrices lie on a (N, 1) axis and the diagonals on a (1, w)
+    one, in blocks of at most `_CHUNK` pairs.  One off-diagonal cell
+    of A D A is tested on that grid; the kept pairs, compacted flat,
+    then test the other cells."""
+    w, d, ik, kj, want = _search_plan(gf.q, math.isqrt(len(e)), lead)
+    f = bulk_ops(gf)
+    a = np.asarray(e, dtype=np.uint8)
+    hits = np.zeros((a.shape[1], w), dtype=bool)
+    step = max(1, _CHUNK // w)
+    for lo in range(0, a.shape[1], step):
+        block = a[:, lo:lo + step]
+        # (ADA)_ij = sum_k t[c, k] d_k for cell c = (i, j), the sum an
+        # XOR-reduce over k in characteristic 2
+        t = f.mul(block[ik], block[kj])
+        first = np.bitwise_xor.reduce(f.mul(t[0, :, :, None], d[:, None, :]))
+        mtx, dg = divmod(((first != 0) == want[0, 0]).ravel().nonzero()[0], w)
+        rest = np.bitwise_xor.reduce(f.mul(t[1:, :, mtx], d[:, dg]), axis=1)
+        ok = ((rest != 0) == want[1:]).all(axis=0)
+        hits[lo + mtx[ok], dg[ok]] = True
+    return hits
 
 
 def _witness_scalars(A: Matrix, d: tuple) -> tuple:

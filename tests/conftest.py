@@ -1,8 +1,9 @@
+import concurrent.futures
 from concurrent.futures import Future
 
 import pytest
 
-from simds import GF, census
+from simds import GF
 
 
 @pytest.fixture(scope="session")
@@ -60,5 +61,7 @@ def inline_pool(monkeypatch):
             future.set_result(fn(arg))
             return future
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+    # `census` imports the pool class from `concurrent.futures` at each
+    # pooled run
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from simds import (GF, Diagonal, Matrix, SiParams,
@@ -20,7 +21,7 @@ from simds import (GF, Diagonal, Matrix, SiParams,
 from simds._tables import _digits, bulk_ops
 from simds.census import _mds_mask
 from simds.matrix import det3
-from simds.si import nowhere_zero_si
+from simds.si import nowhere_zero_si, oracle_hits
 
 GF4 = GF(2, 2, 0b111)
 GF8 = GF(2, 3, 0b1101)
@@ -138,26 +139,32 @@ def test_c06_worked_fixtures():
         assert extract_xy(E, Diagonal(GF16B, [2, 2, 9])) == (1, 2)
 
 
-def _agree(gf, rows):
-    A = Matrix(gf, rows)
-    try:
-        osi = si_oracle(A).si
-    except ValueError:
-        osi = False
-    return si_check_3x3(A).si == osi
+def _oracle_verdicts(gf, e):
+    """The batched oracle's verdict on each matrix of the columns `e`,
+    1024 matrices a call, so that no hit mask holds more than 1024
+    (q-1)^3 pairs."""
+    return np.concatenate([oracle_hits(gf, e[:, lo:lo + 1024]).any(axis=1)
+                           for lo in range(0, e.shape[1], 1024)])
 
 
 def test_c07_oracle_equivalence():
     with criterion("C7", "entry test vs exhaustive oracle: GF(2^2) complete, "
                          "GF(2^3)/GF(2^4) 10^5 samples, zero disagreements"):
-        for entries in itertools.product(range(4), repeat=9):
-            assert _agree(GF4, (entries[0:3], entries[3:6], entries[6:9]))
+        # itertools.product order: the last entry varies fastest
+        e = np.indices((4,) * 9, dtype=np.uint8).reshape(9, -1)
+        cases = [(GF4, itertools.product(range(4), repeat=9), e)]
         for gf in (GF8B, GF16A):
             rng = random.Random(427)
             q = gf.q
-            for _ in range(100_000):
-                rows = [[rng.randrange(q) for _ in range(3)] for _ in range(3)]
-                assert _agree(gf, rows)
+            # 10^5 matrices of nine draws each, row by row
+            flat = [rng.randrange(q) for _ in range(9 * 100_000)]
+            cases.append((gf, zip(*[iter(flat)] * 9),
+                          np.array(flat, dtype=np.uint8).reshape(-1, 9).T))
+        for gf, matrices, e in cases:
+            oracle = _oracle_verdicts(gf, e).tolist()
+            for entries, osi in zip(matrices, oracle, strict=True):
+                A = Matrix(gf, (entries[0:3], entries[3:6], entries[6:9]))
+                assert si_check_3x3(A).si == osi
 
 
 def test_c08_mds_biconditional_sweep_gf8():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from simds import (GF, BudgetError, InternalMismatchError, Matrix, brute_force_S
 from simds import census
 from simds._tables import _digits, bulk_ops, mul_table, nonzero_grid
 from simds.census import (CSV_HEADER, SET_NAMES, _mds_mask, _nonzero,
-                          _pack_keys)
+                          _pack_keys, _unpack_keys)
 from simds.construct import construction_entries, decisive_sums
-from simds.si import si_check_3x3, si_oracle
+from simds.si import oracle_hits, si_check_3x3
 
 
 def tuple_set_by_loops(gf, subset):
@@ -398,35 +399,59 @@ def built_keys_gf8b(gf8b):
 def test_group_dedup_equals_global_dedup(gf8b, built_keys_gf8b):
     """The (a11, a22) groups are disjoint, and together they hold
     exactly the distinct keys of one global dedup of every built
-    matrix."""
+    matrix, once each group's seven-entry keys get back its a11 and
+    a22."""
     groups = list(census._parametrized_groups(gf8b))
-    assert len(groups) == 7 * 7
-    assert sum(n for _, n in groups) == len(built_keys_gf8b) == 57624 * 49
-    for keys, _ in groups:
+    assert [g for g, _, _ in groups] == list(itertools.product(range(1, 8), repeat=2))
+    assert sum(n for _, _, n in groups) == len(built_keys_gf8b) == 57624 * 49
+    full = []
+    for (a11, a22), keys, _ in groups:
+        assert keys.dtype == np.uint32
         assert (keys[1:] > keys[:-1]).all()
-    merged = np.sort(np.concatenate([keys for keys, _ in groups]))
+        e = _unpack_keys(keys, gf8b.m, 7)
+        e[0:0] = [np.full(len(keys), a11, np.uint8)]
+        e[4:4] = [np.full(len(keys), a22, np.uint8)]
+        full.append(_pack_keys(e, gf8b.m))
+    merged = np.sort(np.concatenate(full))
     assert np.array_equal(merged, np.unique(built_keys_gf8b))
 
 
 def test_spot_checks_follow_build_order(gf8b, built_keys_gf8b, monkeypatch):
-    """The scalar spot check sees every 4096th matrix of the build
-    order: 690 at q = 8."""
+    """The batched literal oracle of the spot checks sees every 4096th
+    matrix of the build order, over all (q-1)^3 diagonals: 690 at
+    q = 8."""
     checked = []
 
-    def spy(A):
-        checked.append(A)
-        return si_oracle(A)
+    def spy(gf, e, lead=()):
+        assert lead == ()
+        checked.extend(zip(*(col.tolist() for col in e)))
+        return oracle_hits(gf, e, lead)
 
-    monkeypatch.setattr(census, "si_oracle", spy)
+    monkeypatch.setattr(census, "oracle_hits", spy)
     assert enumeration_stats(gf8b).distinct == 403368
     keys = []
-    for A in checked:
+    for entries in checked:
         key = 0
-        for v in itertools.chain(*A.rows):
+        for v in entries:
             key = (key << gf8b.m) | v
         keys.append(key)
     assert len(keys) == 690
     assert keys == built_keys_gf8b[::4096].tolist()
+
+
+def test_sweep_and_enumeration_traced_peaks(gf8b):
+    """At q = 8 the sweep's blocks of 2^16 8-tuples peak at most 3.5 MB
+    of traced allocations (9.0 MB with blocks of 2^18), and the
+    enumeration, with 32-bit group keys, at most 2 MB."""
+    for run, bound in ((lambda: sweep_parameter_space(gf8b).clean, 3.5),
+                       (lambda: enumeration_stats(gf8b).distinct == 403368, 2.0)):
+        tracemalloc.start()
+        try:
+            assert run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2 ** 20
 
 
 def test_budget_policies(gf16a):
@@ -624,19 +649,20 @@ def test_distinct_equals_unique():
     assert census._distinct(rand)[-1] == 2 ** 64 - 1
 
 
-def test_pack_keys_rejects_entries_wider_than_seven_bits():
-    e = [np.full(3, 200, dtype=np.uint8) for _ in range(9)]
-    with pytest.raises(ValueError, match="64-bit key"):
-        _pack_keys(e, 8)
+def test_pack_keys_rejects_keys_wider_than_32_bits():
+    e = [np.full(3, 20, dtype=np.uint8) for _ in range(7)]
+    with pytest.raises(ValueError, match="32-bit key"):
+        _pack_keys(e, 5)
 
 
-# 9 m <= 64 bits: m = 7 is the largest width a uint64 key holds
-@pytest.mark.parametrize("m, poly", [(2, 0b111), (3, 0b1011), (4, 0b10011),
-                                     (7, 0b10000011)])
+# a group's seven entries: 7 m <= 32 bits holds m <= 4, the
+# enumeration's q <= 16
+@pytest.mark.parametrize("m, poly", [(2, 0b111), (3, 0b1011), (4, 0b10011)])
 def test_pack_unpack_round_trip(m, poly):
     rng = np.random.default_rng(m)
-    e = [rng.integers(0, 2 ** m, 1000, dtype=np.uint8) for _ in range(9)]
+    e = [rng.integers(0, 2 ** m, 1000, dtype=np.uint8) for _ in range(7)]
     keys = _pack_keys(e, m)
-    back = census._unpack_keys(keys, m)
+    assert keys.dtype == np.uint32
+    back = _unpack_keys(keys, m, 7)
     assert all(col.dtype == np.uint8 for col in back)
     assert all(np.array_equal(a, b) for a, b in zip(back, e))

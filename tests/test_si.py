@@ -12,7 +12,7 @@ from simds import (GF, BudgetError, Diagonal, Matrix, SiParams,
                    sum_conditions)
 from simds._tables import bulk_ops
 from simds.matrix import det3, minor
-from simds.si import nowhere_zero_si, product_det
+from simds.si import nowhere_zero_si, oracle_hits, product_det
 
 GF4 = GF(2, 2, 0b111)
 
@@ -387,6 +387,61 @@ def test_associated_diagonals_tables_match_loop(monkeypatch, gf4, gf8, gf16a):
     assert [associated_diagonals(A) for A in samples] == by_tables
 
 
+def _columns(matrices):
+    """The entries of each matrix, row by row, as nine uint8 columns."""
+    return np.array([[v for row in A.rows for v in row] for A in matrices],
+                    dtype=np.uint8).reshape(-1, 9).T
+
+
+def test_oracle_hits_verdicts_match_scalar_oracle(monkeypatch, gf8, gf16a):
+    """The batched oracle finds a diagonal exactly for the matrices that
+    are non-singular and semi-involutory by `si_oracle`: all 4^9
+    matrices over GF(4), singular ones included, and seeded samples over
+    GF(8) and GF(16), random ones and built semi-involutory ones, these
+    by `si_oracle`'s scalar loop."""
+    from simds import si
+    e = np.indices((4,) * 9, dtype=np.uint8).reshape(9, -1)
+    got = oracle_hits(GF4, e).any(axis=1).tolist()
+    want = [A.det() != 0 and si_oracle(A).si
+            for A in (Matrix(GF4, (t[0:3], t[3:6], t[6:9]))
+                      for t in itertools.product(range(4), repeat=9))]
+    assert got == want and sum(want) == 8370
+    rng = random.Random(433)
+    samples = [[Matrix(gf, [[rng.randrange(gf.q) for _ in range(3)] for _ in range(3)])
+                for _ in range(n)] + _built_si(gf, 439, 20)
+               for gf, n in ((gf8, 500), (gf16a, 60))]
+    batched = [oracle_hits(A[0].gf, _columns(A)).any(axis=1).tolist() for A in samples]
+    monkeypatch.setattr(si, "TABLE_MAX_Q", 0)
+    for matrices, got in zip(samples, batched):
+        want = [A.det() != 0 and si_oracle(A).si for A in matrices]
+        assert got == want
+        assert any(A.det() == 0 for A in matrices) and sum(want) >= 20
+
+
+def test_oracle_hits_lists_every_associated_diagonal(monkeypatch, gf4, gf8, gf16a):
+    """Row k of the hit mask marks, in `nonzero_grid` order, exactly the
+    diagonals `associated_diagonals` lists for matrix k, and with lead
+    (1,) those of them with d1 = 1, whatever the block size."""
+    from simds import si
+    from simds._tables import nonzero_grid
+    for gf, n in ((gf4, 300), (gf8, 300), (gf16a, 60)):
+        samples = _seeded_sample(gf, 71, n)
+        want = [associated_diagonals(A) for A in samples]
+        assert any(want) and not all(want)
+        for chunk in (si._CHUNK, 5000):
+            monkeypatch.setattr(si, "_CHUNK", chunk)
+            for lead in ((), (1,)):
+                grid = np.stack(nonzero_grid(gf.q, 3 - len(lead)), axis=1)
+                hits = oracle_hits(gf, _columns(samples), lead)
+                assert hits.shape == (n, len(grid))
+                got = [[lead + tuple(map(int, grid[h])) for h in np.flatnonzero(row)]
+                       for row in hits]
+                assert got == [[d for d in wits if d[:len(lead)] == lead]
+                               for wits in want]
+    with pytest.raises(BudgetError):
+        oracle_hits(gf16a, [[1]] * 16)
+
+
 def _built_si(gf, seed, count):
     """Semi-involutory matrices built from seeded parameters with s != 0."""
     rng = random.Random(seed)
@@ -433,6 +488,12 @@ def test_oracle_does_not_read_entry_test(monkeypatch, gf4, gf8):
     samples = _seeded_sample(gf4, 31, 300) + _seeded_sample(gf8, 37, 300)
     before = [si_oracle(A) for A in samples]
     assert any(v.si for v in before) and not all(v.si for v in before)
+
+    def batched():
+        return [oracle_hits(gf, _columns(samples[k:k + 300])).tolist()
+                for k, gf in ((0, gf4), (300, gf8))]
+
+    batched_before = batched()
     for name in ("si_check_3x3", "triangle_products_agree", "product_det",
                  "nowhere_zero_si", "_block_form_si", "_least_witness"):
         monkeypatch.setattr(si, name, _forbidden)
@@ -440,6 +501,7 @@ def test_oracle_does_not_read_entry_test(monkeypatch, gf4, gf8):
         with pytest.raises(_Forbidden):
             si_check_3x3(A)
     assert [si_oracle(A) for A in samples] == before
+    assert batched() == batched_before
 
 
 def _with_zeros(rng, q):
@@ -484,6 +546,7 @@ def test_entry_test_searches_diagonals_only_for_witness(monkeypatch, gf4, gf8):
     assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100
     monkeypatch.setattr(si, "associated_diagonals", _forbidden)
     monkeypatch.setattr(si, "_least_witness", _forbidden)
+    monkeypatch.setattr(si, "oracle_hits", _forbidden)
     for A, is_si in zip(samples, verdicts):
         if is_si:
             with pytest.raises(_Forbidden):
