@@ -7,11 +7,14 @@ tables (built by `GF` for q <= TABLE_MAX_Q) as read-only uint8 arrays.
 `f` runs on ints with f = gf and on arrays with f = bulk_ops(gf).  mul
 and inv are each one `ndarray.take` on a flat table, several times
 faster than a 2-D fancy index: mul(a, b) reads the product table
-raveled, at index (a << m) | b.  That index is built as uint16, whatever
-q is, because a uint8 `a << m` overflows once m >= 5.  It is built as a
-new array, not in place in the shifted copy of `a`, so that a and b
-broadcast against each other like the operands of any numpy operator.
-Only characteristic 2 is supported here (addition is XOR).
+raveled, at index a q + b.  That index is built as uint8 when q <= 16,
+where it is at most q^2 - 1 <= 255, and as uint16 above; by a multiply,
+not a shift, because numpy vectorises uint8 `*` but not uint8 `<<`.  It
+is built as a new array, not in place in the scaled copy of `a`, so
+that a and b broadcast against each other like the operands of any
+numpy operator.  `_digits` peels the digits of a row index from the
+least significant end, one unsigned floor division per digit.  Only
+characteristic 2 is supported here (addition is XOR).
 """
 
 from __future__ import annotations
@@ -62,18 +65,26 @@ def bulk_ops(gf: GF) -> SimpleNamespace:
     and inv by lookup in `mul_table` and `inv_table`, add and sub as
     XOR.  Results are uint8; the operands of mul, add and sub
     broadcast."""
-    flat, m = mul_table(gf).ravel(), gf.m
+    flat = mul_table(gf).ravel()
+    index = np.uint8 if gf.q <= 16 else np.uint16
+    q = index(gf.q)
     return SimpleNamespace(
-        mul=lambda a, b: flat.take((np.asarray(a, np.uint16) << m) | b),
+        mul=lambda a, b: flat.take(np.asarray(a, index) * q + b),
         inv=inv_table(gf).take, add=operator.xor, sub=operator.xor)
 
 
 def _digits(start: int, stop: int, ndigits: int, base: int) -> list[np.ndarray]:
     """Columns of the base-(q-1) digit expansion of [start, stop),
-    shifted to 1..q-1.  Digit 0 varies slowest."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    return [((idx // base ** (ndigits - 1 - k)) % base + 1).astype(np.uint8)
-            for k in range(ndigits)]
+    shifted to 1..q-1.  Digit 0 varies slowest.  The digits are peeled
+    from the last, each by one uint32 floor division (uint64 once stop
+    passes 2^32) and the product that takes the quotient back out."""
+    idx = np.arange(start, stop, dtype=np.uint32 if stop <= 1 << 32 else np.uint64)
+    cols = [None] * ndigits
+    for k in reversed(range(ndigits)):
+        rest = idx // base
+        cols[k] = (idx - rest * base).astype(np.uint8) + np.uint8(1)
+        idx = rest
+    return cols
 
 
 @cache

@@ -22,15 +22,18 @@ with an independent brute-force verifier at desk scale:
   stages (SI_MDS: the six off-diagonal entries, then a11, a22, a33;
   INV_MDS: row 0 and column 0, then a22 and a32, then a23, then a33)
   and tests each condition at the first stage where every entry it
-  reads is known, so the candidates a test rejects are never expanded.
-  Each stage crosses the values of its new entries, as (w, 1) columns,
-  with the survivors, as a (1, r) row, by broadcasting, so a product
-  that does not read a new entry is computed once per survivor and
-  numpy's inner loops run along the survivors.  The grid's mask is
-  compacted flat, by `np.flatnonzero`, each kept index splitting by
-  divmod into a (value, survivor) pair.  The MDS test, which reads
-  every entry, runs last on the flat survivors of the SI (or A^2 = I)
-  test;
+  reads is known, and only there, so the candidates a test rejects are
+  never expanded.  A stage crosses the values of its new entries, as
+  (w, 1) columns, with the survivors, as a (1, r) row, by broadcasting,
+  so a product that does not read a new entry is computed once per
+  survivor and numpy's inner loops run along the survivors.  The grid's
+  mask is compacted flat, by `np.flatnonzero`, each kept index
+  splitting by divmod into a (value, survivor) pair.  SI_MDS's a33
+  stage searches no grid: `si.product_det` is affine in a33, so it
+  solves for the one a33, if any, that makes it vanish.  The last
+  stage, which adds no entry and reads every one, tests what is left
+  of the MDS conditions on the flat survivors and counts its mask
+  instead of compacting it;
 * the parameter sweep, which checks the construction's MDS, A D A,
   determinant and zero-pattern claims on every 8-tuple (a11, a22, a33,
   d1, d2, d3, x, y): x, y and a block of R 6-tuples lie on three
@@ -60,6 +63,7 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,7 +72,8 @@ from .construct import construction_entries, decisive_sums, det_and_ada
 from .errors import BudgetError, InternalMismatchError
 from .field import GF
 from .matrix import Matrix, det3, minor, minors
-from .si import nowhere_zero_si, oracle_hits, product_det, triangle_products_agree
+from .si import (nowhere_zero_si, oracle_hits, product_det_terms,
+                 triangle_products_agree)
 
 SET_NAMES = ("S", "S1", "S2", "S3", "S4", "S5", "SI_MDS", "INV_MDS")
 
@@ -245,25 +250,59 @@ def _rest_of_identity(f, e) -> np.ndarray:
     return ok
 
 
-# (entries added, tests applied in order once they are known).  Every
-# SI_MDS candidate still meets both conditions of `si.nowhere_zero_si`
-# (the triangle products as soon as the off-diagonal entries are known)
-# and all nine 2x2 minors of `_mds_mask` before the full-matrix kernels;
-# the early tests only drop candidates sooner, and the non-singularity
-# the entry-level test presumes is part of `_mds_mask`.  Every INV_MDS
-# candidate still meets all nine entries of A^2 = I and `_mds_mask`.
-# A stage's tests run on the broadcast grid of its new entries' values,
-# as (w, 1) columns, by the survivors, as a (1, r) row, so a product
-# that does not read a new entry spans only the r survivors, and the
-# long axis is innermost.  The minors on a11 and a22 run at their
-# stages because they shrink the grids crossed with a22 and a33: the a22
-# stage also tests a11 a22 - a12 a21, which reads no a33 and so is known
-# there; 3,529,470 pairs reach the a33 grid at q = 8.  The a33 stage
-# runs only `product_det`, since the two minors on a33 would shrink no
-# later grid: `_mds_mask` tests them again, as it tests every minor the
-# earlier stages did.  `_mds_mask` reads every entry but adds none: it
-# is a last stage of its own, run on the flat survivors of the SI (or
-# A^2 = I) test, not on the grid.
+def _mds_on_a33(f, e) -> np.ndarray:
+    """The determinant and the four 2x2 minors that read a33: the parts
+    of `_mds_mask` that no earlier SI_MDS stage tests.  The determinant
+    expands along row 0 with two of those minors."""
+    pairs = ((0, 2), (1, 2))
+    m = [minor(f, e, rows, cols) for rows in pairs for cols in pairs]
+    return _nonzero(det3(f, e, (minor(f, e, (1, 2), (0, 1)), m[2], m[3])), *m)
+
+
+def _solve_a33(f, old: dict, new: dict) -> dict:
+    """The pairs of a survivor of `old` and an a33 of `new` (dicts of
+    flat columns keyed by entry index) on which `si.product_det`
+    vanishes, as flat columns.  It is slope a33 + const with neither
+    term reading a33, so a survivor keeps a33 = -const/slope when slope
+    != 0 and that is non-zero, every a33 when slope = const = 0, and
+    none when slope = 0 != const.  The solved pairs come first, in
+    survivor order."""
+    slope, const = product_det_terms(f, old)
+    # inv's 0 sentinel makes a33 = 0, and so drops it, wherever slope = 0
+    a33 = f.sub(0, f.mul(const, f.inv(slope)))
+    solved = np.flatnonzero(a33)
+    free = np.flatnonzero((slope == 0) & (const == 0))
+    values = new[8]
+    survivor = np.concatenate((solved, np.repeat(free, len(values))))
+    kept = {pos: c[survivor] for pos, c in old.items()}
+    kept[8] = np.concatenate((a33[solved], np.tile(values, len(free))))
+    return kept
+
+
+class _Solved(NamedTuple):
+    """In `_STAGES`, a stage whose new entries are solved for, not
+    searched: `solve(f, old, new)` returns the kept pairs of a survivor
+    of `old` and a value of `new` as flat columns, as `_cross` does."""
+
+    solve: Callable
+
+
+# (entries added, tests applied in order once they are known), or
+# (entries added, `_Solved`).  Each condition is tested at the first
+# stage where every entry it reads is known, and only there.  SI_MDS
+# tests both conditions of `si.nowhere_zero_si`: the triangle products
+# once the off-diagonal entries are known, and `product_det` by solving
+# for a33.  Its a11 and a22 stages test the five 2x2 minors that read no
+# a33, so that fewer survivors reach a33 (504,210 at q = 8), and its
+# last stage `_mds_on_a33` the other four and the determinant, which
+# includes the non-singularity the entry-level test presumes.  Every
+# INV_MDS candidate meets all nine entries of A^2 = I and `_mds_mask`.
+# A tested stage's tests run on the broadcast grid of its new entries'
+# values, as (w, 1) columns, by the survivors, as a (1, r) row, so a
+# product that does not read a new entry spans only the r survivors,
+# and the long axis is innermost; the solved stage sees the survivors as
+# flat (r,) columns.  A last stage adds no entries and reads them all:
+# its mask is counted, not compacted.
 _STAGES = {
     "SI_MDS": (
         ((1, 2, 3, 5, 6, 7), (triangle_products_agree,)),
@@ -272,8 +311,8 @@ _STAGES = {
         ((4,), (lambda f, e: _nonzero(minor(f, e, (0, 1), (1, 2)),
                                       minor(f, e, (1, 2), (0, 1)),
                                       minor(f, e, (0, 1), (0, 1))),)),
-        ((8,), (lambda f, e: product_det(f, e) == 0,)),
-        ((), (_mds_mask,)),
+        ((8,), _Solved(_solve_a33)),
+        ((), (_mds_on_a33,)),
     ),
     "INV_MDS": (
         ((0, 1, 2, 3, 6), (lambda f, e: _product_entry(f, e, e, 0, 0) == 1,)),
@@ -284,30 +323,37 @@ _STAGES = {
     ),
 }
 
-# The largest q each target is scanned at.  At q = 16 the SI_MDS stages
-# cross 2.1e9 candidates with a33 (3.5e6 at q = 8; counted by running the
-# stages before a33 alone), the INV_MDS stages 1.0e7; as broadcast grids
-# they are computed in blocks, so they bound the time, not the memory.
+# The largest q each target is scanned at.  At q = 16 1.6e8 SI_MDS
+# candidates reach the a22 grid and 1.4e8 the solved a33 stage (7.1e5
+# and 5.0e5 at q = 8), and the scan took 16 s (2 vCPU Xeon); the INV_MDS
+# stages cross 1.0e7 with a33.  The stages run in blocks, so these bound
+# the time, not the memory.
 _SCAN_MAX_Q = {"SI_MDS": 8, "INV_MDS": 16}
 
-def _cross(f, tests, old: dict, new: dict) -> dict:
-    """The pairs of a survivor of `old` and a value of `new` (dicts of
-    flat columns keyed by entry index) that pass every test, as flat
-    columns.  The tests see the values as (w, 1) columns and the
-    survivors as a (1, r) row, innermost, so that numpy's inner loops
-    run over the r survivors rather than the few new values, and their
-    masks are ANDed over that broadcast grid.  The grid is compacted
-    flat, by `np.flatnonzero`, and each kept flat index splits by
-    divmod by r into the (value, survivor) pair that gathers the new
-    entries and the old ones, in the order of 2-D `np.nonzero`.
-    Either dict may be empty."""
+
+def _grid_mask(f, tests, old: dict, new: dict) -> np.ndarray:
+    """The tests' masks ANDed over the grid of the values of `new` by
+    the survivors of `old` (dicts of flat columns keyed by entry index;
+    either may be empty).  The tests see the values as (w, 1) columns
+    and the survivors as a (1, r) row, innermost, so that numpy's inner
+    loops run over the r survivors rather than the few new values.  The
+    mask is broadcast, read-only, to the (w, r) grid."""
     e = {pos: col[None, :] for pos, col in old.items()}
     e.update((pos, col[:, None]) for pos, col in new.items())
-    shape = np.broadcast_shapes(*(col.shape for col in e.values()))
     mask = True
     for test in tests:
         mask = mask & test(f, e)
-    value, survivor = divmod(np.flatnonzero(np.broadcast_to(mask, shape)), shape[1])
+    return np.broadcast_to(mask, np.broadcast_shapes(*(col.shape for col in e.values())))
+
+
+def _cross(f, tests, old: dict, new: dict) -> dict:
+    """The pairs of a survivor of `old` and a value of `new` that pass
+    every test, over `_grid_mask`'s grid, as flat columns.  The grid is
+    compacted flat, by `np.flatnonzero`, and each kept flat index splits
+    by divmod by r into the (value, survivor) pair that gathers the new
+    entries and the old ones, in the order of 2-D `np.nonzero`."""
+    mask = _grid_mask(f, tests, old, new)
+    value, survivor = divmod(np.flatnonzero(mask), mask.shape[1])
     kept = {pos: c[survivor] for pos, c in old.items()}
     kept.update((pos, c[value]) for pos, c in new.items())
     return kept
@@ -328,21 +374,26 @@ def _staged_count(f, q: int, stages, lo: int, hi: int) -> int:
 
 def _descend(f, q: int, stages, k: int, e: dict) -> int:
     """Count the survivors `e` (flat columns) of stages before k that
-    pass stage k and every later stage.  Stage k crosses every non-zero
-    value of its w = (q-1)^len(entries) new entries (w = 1 for a stage
-    that adds none), as (w, 1) columns, with blocks of the survivors,
-    as (1, r) rows, by `_cross`: at most `_CHUNK` pairs a block, and
-    each block's survivors compacted once."""
+    pass stage k and every later stage.  Stage k takes the survivors in
+    blocks of at most `_CHUNK` // w, for the w = (q-1)^len(entries)
+    non-zero values of its new entries (w = 1 for a stage that adds
+    none).  A `_Solved` stage solves each block for its entries; a
+    tested one crosses every value with the block by `_cross`, at most
+    `_CHUNK` pairs, and compacts the survivors once, or, as the last
+    stage, which every scan ends with, counts its `_grid_mask`."""
     n = len(next(iter(e.values())))
-    if k == len(stages):
-        return n
     entries, tests = stages[k]
     grid = dict(zip(entries, nonzero_grid(q, len(entries))))
     step = max(1, _CHUNK // (q - 1) ** len(entries))
     count = 0
     for start in range(0, n, step):
         block = {pos: col[start:start + step] for pos, col in e.items()}
-        count += _descend(f, q, stages, k + 1, _cross(f, tests, block, grid))
+        if isinstance(tests, _Solved):
+            count += _descend(f, q, stages, k + 1, tests.solve(f, block, grid))
+        elif k == len(stages) - 1:
+            count += int(np.count_nonzero(_grid_mask(f, tests, block, grid)))
+        else:
+            count += _descend(f, q, stages, k + 1, _cross(f, tests, block, grid))
     return count
 
 

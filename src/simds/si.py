@@ -271,13 +271,22 @@ def product_det(f, e):
 
     with m = a11 a22 - a12 a21 and n = a21 a32 - a22 a31 minors of A, so
     the form holds in any characteristic.  It forms 12 products, and only
-    one of them (a33 times the bracket) reads a33."""
+    one of them (a33 times the bracket) reads a33: it is slope a33 + const
+    with the two terms of `product_det_terms`."""
+    slope, const = product_det_terms(f, e)
+    return f.add(f.mul(e[8], slope), const)
+
+
+def product_det_terms(f, e):
+    """`product_det` as (slope, const), the bracket a11 n^2 - a22 t and
+    a23 a32 t, with product_det = slope a33 + const; neither term reads
+    a33, so `e` need not hold a33."""
     mul = f.mul
     a11, a12, a21, a22 = e[0], e[1], e[3], e[4]
-    a23, a31, a32, a33 = e[5], e[6], e[7], e[8]
+    a23, a31, a32 = e[5], e[6], e[7]
     n = det2(f, a21, a22, a31, a32)
     t = mul(mul(a31, a31), det2(f, a11, a12, a21, a22))
-    return f.add(mul(a33, det2(f, a11, a22, t, mul(n, n))), mul(mul(a23, a32), t))
+    return det2(f, a11, a22, t, mul(n, n)), mul(mul(a23, a32), t)
 
 
 def nowhere_zero_si(f, e):

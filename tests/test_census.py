@@ -13,7 +13,7 @@ from simds._tables import _digits, bulk_ops, mul_table, nonzero_grid
 from simds.census import (CSV_HEADER, SET_NAMES, _mds_mask, _nonzero,
                           _pack_keys, _unpack_keys)
 from simds.construct import construction_entries, decisive_sums
-from simds.si import oracle_hits, si_check_3x3
+from simds.si import oracle_hits, product_det, product_det_terms, si_check_3x3
 
 
 def tuple_set_by_loops(gf, subset):
@@ -124,7 +124,7 @@ def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
 
 @pytest.mark.parametrize("q, target, want", [
     (8, "SI_MDS", [[117649, 16807], [117649, 100842], [705894, 504210],
-                   [3529470, 403368], [403368, 403368]]),
+                   [504210, 403368], [403368, 403368]]),
     (8, "INV_MDS", [[16807, 2107], [103243, 12642], [88494, 12642],
                     [88494, 1176], [1176, 1176]]),
     (16, "INV_MDS", [[759375, 47475], [10681875, 664650], [9969750, 664650],
@@ -133,7 +133,8 @@ def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
 def test_scan_survivor_counts(gf8, gf8b, gf16a, q, target, want):
     """Per stage of the exhaustive scan, the candidates it sees and,
     after each of its tests, those that pass it and the stage's earlier
-    ones, counted over the broadcast shape of the stage's blocks: facts
+    ones, counted over the broadcast shape of the stage's blocks; a
+    solved stage sees its survivors and keeps its solved pairs: facts
     of the field, pinned here.  The two GF(8) moduli give isomorphic
     fields, and so the same counts."""
     for gf in {8: (gf8b, gf8), 16: (gf16a,)}[q]:
@@ -145,6 +146,14 @@ def _scan_survivor_counts(gf, target):
     counts = [[0] * (len(tests) + 1) for _, tests in stages]
 
     def counting(k, tests):
+        if isinstance(tests, census._Solved):
+            def solve(f, old, new):
+                kept = tests.solve(f, old, new)
+                counts[k][0] += len(next(iter(old.values())))
+                counts[k][1] += len(kept[8])
+                return kept
+            return census._Solved(solve)
+
         def test(f, e):
             shape = np.broadcast_shapes(*(v.shape for v in e.values()))
             mask = np.ones(shape, dtype=bool)
@@ -153,11 +162,11 @@ def _scan_survivor_counts(gf, target):
                 mask &= np.broadcast_to(t(f, e), shape)
                 counts[k][i] += np.count_nonzero(mask)
             return mask
-        return test
+        return (test,)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(census._STAGES, target, tuple(
-            (entries, (counting(k, tests),)) for k, (entries, tests) in enumerate(stages)))
+            (entries, counting(k, tests)) for k, (entries, tests) in enumerate(stages)))
         assert exhaustive_matrix_census(gf, target) == formula_count(target, gf.m)
     return counts
 
@@ -166,7 +175,9 @@ def _scan_survivor_counts(gf, target):
 def test_scan_puts_survivors_innermost(gf8b, monkeypatch, target):
     """After the first stage, every test of the scan sees each survivor
     column as a (1, r) row and each new entry's values as a (w, 1)
-    column, so numpy's inner loops run along the survivors."""
+    column, so numpy's inner loops run along the survivors; a solved
+    stage sees its survivors as flat (r,) columns and the values of its
+    new entries as the flat (w,) grid."""
     stages = census._STAGES[target]
     seen = [0] * len(stages)
 
@@ -184,8 +195,23 @@ def test_scan_puts_survivors_innermost(gf8b, monkeypatch, target):
             return test(f, e)
         return wrapped
 
+    def solved(k, solve):
+        entries = stages[k][0]
+        known = {pos for earlier, _ in stages[:k] for pos in earlier}
+        w = (gf8b.q - 1) ** len(entries)
+
+        def wrapped(f, old, new):
+            assert set(old) == known and set(new) == set(entries)
+            r = {old[pos].shape for pos in known}
+            assert len(r) == 1 and len(*r) == 1
+            assert all(new[pos].shape == (w,) for pos in entries)
+            seen[k] += 1
+            return solve(f, old, new)
+        return census._Solved(wrapped)
+
     monkeypatch.setitem(census._STAGES, target, stages[:1] + tuple(
-        (entries, tuple(checked(k, t) for t in tests))
+        (entries, solved(k, tests.solve) if isinstance(tests, census._Solved)
+         else tuple(checked(k, t) for t in tests))
         for k, (entries, tests) in enumerate(stages) if k))
     assert exhaustive_matrix_census(gf8b, target) == formula_count(target, gf8b.m)
     assert all(seen[1:])
@@ -239,6 +265,118 @@ def test_cross_keeps_pairs_and_order(gf8b, old, new, fill):
             assert len(got[new[0]]) == (w * r if fill else 0)
 
 
+def _a22_survivors(gf):
+    """The flat survivors of the SI_MDS stages before a33, crossed in
+    one block each."""
+    f = bulk_ops(gf)
+    e = {}
+    for entries, tests in census._STAGES["SI_MDS"][:3]:
+        e = census._cross(f, tests, e, dict(zip(entries, nonzero_grid(gf.q, len(entries)))))
+    return f, e
+
+
+def _sorted_keys(e, m):
+    return np.sort(_pack_keys([e[k] for k in range(9)], m))
+
+
+def test_solved_a33_stage_matches_grid(gf4, gf8, gf8b):
+    """The solved a33 stage keeps exactly the (survivor, a33) pairs that
+    testing `product_det == 0` on the literal grid of every a33 keeps."""
+    for gf in (gf4, gf8, gf8b):
+        f, e = _a22_survivors(gf)
+        grid = {8: nonzero_grid(gf.q, 1)[0]}
+        solved = census._solve_a33(f, e, grid)
+        literal = census._cross(f, (lambda f, e: product_det(f, e) == 0,), e, grid)
+        assert set(solved) == set(range(9))
+        assert np.array_equal(_sorted_keys(solved, gf.m), _sorted_keys(literal, gf.m))
+        assert len(solved[8]) == {4: 0, 8: 403368}[gf.q]
+
+
+def test_solve_a33_cases(gf8b):
+    """On hand-built survivors, by case of `product_det` = slope a33 +
+    const: slope != 0 keeps the one a33 that zeroes it, if non-zero
+    (const != 0); slope = 0 != const keeps none; slope = const = 0 keeps
+    every a33, a case no GF(8) scan survivor reaches.  The kept pairs
+    are those on which the scalar `product_det` vanishes, the solved
+    ones first in survivor order, then the free ones."""
+    gf = gf8b
+    rng = np.random.default_rng(7)
+    sample = rng.integers(1, gf.q, size=(300, 8)).tolist()
+    terms = [product_det_terms(gf, row) for row in sample]
+    cases = {case: [row for row, (slope, const) in zip(sample, terms)
+                    if (bool(slope), bool(const)) == case][:6]
+             for case in ((True, True), (True, False), (False, True))}
+    assert all(len(rows) == 6 for rows in cases.values())
+    free = [1] * 8                       # m = n = 0: slope = const = 0
+    assert product_det_terms(gf, free) == (0, 0)
+    rows = cases[True, True] + [free] + cases[True, False] + cases[False, True]
+    old = {k: np.array([row[k] for row in rows], dtype=np.uint8) for k in range(8)}
+    kept = census._solve_a33(bulk_ops(gf), old, {8: nonzero_grid(gf.q, 1)[0]})
+    got = [tuple(int(kept[k][i]) for k in range(9)) for i in range(len(kept[8]))]
+    zeroes = [[tuple(row) + (a33,) for a33 in range(1, gf.q)
+               if product_det(gf, row + [a33]) == 0] for row in rows]
+    assert [len(z) for z in zeroes] == [1] * 6 + [gf.q - 1] + [0] * 12
+    assert got == [z[0] for z in zeroes[:6]] + zeroes[6]
+
+
+def test_scan_tests_every_mds_minor(gf8, gf8b, monkeypatch):
+    """The SI_MDS stages test all nine 2x2 minors and the determinant
+    between them, the stages before a33 the five that do not read it;
+    at q = 8, on both moduli, the scan counts as with the full
+    `_mds_mask` as its last stage."""
+    calls = {}
+    seen_det = []
+    minor, det3 = census.minor, census.det3
+
+    def spied_minor(f, e, rows, cols):
+        # whether a33 is known tells the last stage from the earlier ones
+        calls.setdefault((tuple(rows), tuple(cols)), set()).add(8 in e)
+        return minor(f, e, rows, cols)
+
+    def spied_det3(f, e, row12=None):
+        seen_det.append(row12 is not None)
+        return det3(f, e, row12)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census, "minor", spied_minor)
+        patch.setattr(census, "det3", spied_det3)
+        assert exhaustive_matrix_census(gf8b, "SI_MDS") == 403368
+    pairs = list(itertools.combinations(range(3), 2))
+    on_a33 = set(itertools.product(((0, 2), (1, 2)), repeat=2))
+    assert set(calls) == set(itertools.product(pairs, pairs))
+    assert {pair for pair, known in calls.items() if False in known} == set(calls) - on_a33
+    assert seen_det and all(seen_det)
+    stages = census._STAGES["SI_MDS"]
+    monkeypatch.setitem(census._STAGES, "SI_MDS", stages[:-1] + (((), (_mds_mask,)),))
+    for gf in (gf8, gf8b):
+        assert exhaustive_matrix_census(gf, "SI_MDS") == 403368
+
+
+def _digits_by_divmod(start, stop, ndigits, base):
+    cols = [[] for _ in range(ndigits)]
+    for i in range(start, stop):
+        for k in reversed(range(ndigits)):
+            i, digit = divmod(i, base)
+            cols[k].append(digit + 1)
+    return cols
+
+
+@pytest.mark.parametrize("q, ndigits", [(4, 6), (8, 6), (8, 9), (16, 6), (16, 9)])
+def test_digits_match_divmod(q, ndigits):
+    """`_digits` equals a divmod reference on the empty range and at both
+    ends of (q-1)^ndigits; (q-1)^9 passes 2^32 at q = 16, and so does
+    a range that crosses 2^32 there."""
+    total = (q - 1) ** ndigits
+    spans = [(0, 0), (0, 500), (total - 500, total), (total // 2, total // 2)]
+    if total > 1 << 32:
+        spans += [((1 << 32) - 300, (1 << 32) + 300), ((1 << 32) - 300, 1 << 32)]
+    for start, stop in spans:
+        got = _digits(start, stop, ndigits, q - 1)
+        assert len(got) == ndigits
+        assert all(col.dtype == np.uint8 for col in got)
+        assert [col.tolist() for col in got] == _digits_by_divmod(start, stop, ndigits, q - 1)
+
+
 def _count_mul_elements(gf, monkeypatch) -> list:
     """Patch `bulk_ops(gf).mul` to record the size of each product array
     it returns; returns the list it appends to."""
@@ -258,13 +396,14 @@ def _count_mul_elements(gf, monkeypatch) -> list:
 def test_scan_products_per_candidate(gf8b, monkeypatch):
     """Each stage of the SI_MDS scan crosses its survivors with its new
     entries by broadcasting, so a product that does not read a new entry
-    spans only the survivors; `product_det` multiplies by a33 once, the
-    a22 stage tests a11 a22 - a12 a21 so that fewer pairs reach a33, and
-    the a33 stage runs no minor.  At q = 8 the scan takes at most 0.55
-    products per nowhere-zero candidate (0.51)."""
+    spans only the survivors; the a33 stage solves `product_det` for a33
+    over the survivors instead of testing it on a grid, and the last
+    stage tests only the minors that read a33 and the determinant.  At
+    q = 8 the scan takes at most 0.40 products per nowhere-zero
+    candidate (0.358)."""
     sizes = _count_mul_elements(gf8b, monkeypatch)
     assert exhaustive_matrix_census(gf8b, "SI_MDS") == 403368
-    assert sum(sizes) <= 0.55 * 7 ** 9
+    assert sum(sizes) <= 0.40 * 7 ** 9
 
 
 def _inv_mds_by_flat_scan(gf):
@@ -317,14 +456,15 @@ def test_scan_does_not_read_construction_or_entry_test(monkeypatch, gf4, gf8, gf
 
 def test_scan_shares_the_nowhere_zero_condition(monkeypatch, gf8):
     """The SI_MDS scan and `si_check_3x3` judge nowhere-zero matrices by
-    the one `si.product_det`: broken wherever it is bound, both fail."""
+    the one `si.product_det_terms`, which `si.product_det` is built from:
+    broken wherever it is bound, both fail."""
     from simds import si
 
     def broken(*args, **kwargs):
         raise _Forbidden
 
     for module in (census, si):
-        monkeypatch.setattr(module, "product_det", broken)
+        monkeypatch.setattr(module, "product_det_terms", broken)
     with pytest.raises(_Forbidden):
         si_check_3x3(Matrix(gf8, [[6, 1, 5], [1, 6, 3], [5, 3, 6]]))
     with pytest.raises(_Forbidden):

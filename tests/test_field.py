@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -253,6 +254,28 @@ def test_bulk_ops_match_scalar_arithmetic(m, poly):
     inverses = inv(a[1:])
     assert inverses.dtype == np.uint8
     assert inverses.tolist() == [gf.inv(x) for x in range(1, q)]
+
+
+@pytest.mark.parametrize("m, poly", [(2, 0b111), (3, 0b1011), (4, 0b10011),
+                                     (5, 0b100101), (8, 0b100011011)])
+def test_bulk_mul_accepts_every_operand(m, poly):
+    """`bulk_ops(gf).mul` equals gf.mul on every pair, whether its index
+    is uint8 (q <= 16) or uint16, for uint8, uint16 and int64 arrays and
+    Python ints on either side, either side broadcast."""
+    gf = GF(2, m, poly)
+    q = gf.q
+    mul = bulk_ops(gf).mul
+    want = np.array([[gf.mul(x, y) for y in range(q)] for x in range(q)])
+    elements = np.arange(q)
+    for ta, tb in itertools.product((np.uint8, np.uint16, np.int64), repeat=2):
+        a, b = elements.astype(ta), elements.astype(tb)
+        assert np.array_equal(mul(a[:, None], b[None, :]), want)
+        assert np.array_equal(mul(b[None, :], a[:, None]), want.T)
+        assert np.array_equal(mul(np.repeat(a, q), np.tile(b, q)), want.ravel())
+    for x in (0, 1, q - 1, q // 2 + 1):
+        assert np.array_equal(mul(x, elements), want[x])
+        assert np.array_equal(mul(elements.astype(np.uint8), x), want[:, x])
+        assert [int(mul(x, y)) for y in range(q)] == want[x].tolist()
 
 
 def test_sqrt(small_field):

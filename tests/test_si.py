@@ -495,7 +495,8 @@ def test_oracle_does_not_read_entry_test(monkeypatch, gf4, gf8):
 
     batched_before = batched()
     for name in ("si_check_3x3", "triangle_products_agree", "product_det",
-                 "nowhere_zero_si", "_block_form_si", "_least_witness"):
+                 "product_det_terms", "nowhere_zero_si", "_block_form_si",
+                 "_least_witness"):
         monkeypatch.setattr(si, name, _forbidden)
     for A in samples:  # the patches reach every branch that reads them
         with pytest.raises(_Forbidden):
