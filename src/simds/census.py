@@ -33,7 +33,8 @@ with an independent brute-force verifier at desk scale:
   solves for the one a33, if any, that makes it vanish.  The last
   stage, which adds no entry and reads every one, tests what is left
   of the MDS conditions on the flat survivors and counts its mask
-  instead of compacting it;
+  instead of compacting it.  At q = 16, 1.4e8 SI_MDS candidates reach
+  the a33 stage (5.0e5 at q = 8), and the scan takes seconds;
 * the parameter sweep, which checks the construction's MDS, A D A,
   determinant and zero-pattern claims on every 8-tuple (a11, a22, a33,
   d1, d2, d3, x, y): x, y and a block of R 6-tuples lie on three
@@ -44,11 +45,13 @@ with an independent brute-force verifier at desk scale:
   A block holds a quarter of `_CHUNK` 8-tuples, since about 35 arrays
   of its size are alive at once.
 
+Every path but the sweep stops at q = 16; the sweep stops at q = 8.
 Bulk work runs on numpy lookup tables in fixed-size chunks of
 `_tables._CHUNK` rows or broadcast pairs.  The tuple sets, the matrix
 census and the sweep can be partitioned across processes by contiguous
-index ranges (of the 6-tuples, for the sweep), and their counts are
-independent of the partitioning; the enumeration runs in one process.
+index ranges (of the 6-tuples, for the sweep), each worker taking the
+`GF` itself, and their counts are independent of the partitioning; the
+enumeration runs in one process.
 The kernels take the field argument f = `_tables.bulk_ops(gf)`.  The
 tuple sets, the enumeration and the sweep take the construction's sums,
 entries, det and A D A diagonal from `construct`; the exhaustive matrix
@@ -174,8 +177,7 @@ def _tuple_set_masks(f, cols: list[np.ndarray], subset: str) -> np.ndarray:
 def _count_tuples_worker(args) -> int:
     """The size of the named set among the 6-tuples [lo, hi) in digit
     order, counted in chunks of `_CHUNK`."""
-    field_dict, subset, lo, hi = args
-    gf = GF.from_dict(field_dict)
+    gf, subset, lo, hi = args
     f = bulk_ops(gf)
     count = 0
     for start in range(lo, hi, _CHUNK):
@@ -190,8 +192,7 @@ def brute_force_S(gf: GF, subset: str = "S", jobs: int = 1,
     `progress(fraction)` is called as each span of the 6-tuples
     finishes."""
     _require_char2_desk(gf)
-    total = (gf.q - 1) ** 6
-    return sum(_run_partitioned(_count_tuples_worker, (gf.to_dict(), subset), total,
+    return sum(_run_partitioned(_count_tuples_worker, (gf, subset), (gf.q - 1) ** 6,
                                 jobs, parts=_SCAN_SPANS, progress=progress))
 
 
@@ -323,14 +324,6 @@ _STAGES = {
     ),
 }
 
-# The largest q each target is scanned at.  At q = 16 1.6e8 SI_MDS
-# candidates reach the a22 grid and 1.4e8 the solved a33 stage (7.1e5
-# and 5.0e5 at q = 8), and the scan took 16 s (2 vCPU Xeon); the INV_MDS
-# stages cross 1.0e7 with a33.  The stages run in blocks, so these bound
-# the time, not the memory.
-_SCAN_MAX_Q = {"SI_MDS": 8, "INV_MDS": 16}
-
-
 def _grid_mask(f, tests, old: dict, new: dict) -> np.ndarray:
     """The tests' masks ANDed over the grid of the values of `new` by
     the survivors of `old` (dicts of flat columns keyed by entry index;
@@ -398,8 +391,7 @@ def _descend(f, q: int, stages, k: int, e: dict) -> int:
 
 
 def _matrix_census_worker(args) -> int:
-    field_dict, target, lo, hi = args
-    gf = GF.from_dict(field_dict)
+    gf, target, lo, hi = args
     return _staged_count(bulk_ops(gf), gf.q, _STAGES[target], lo, hi)
 
 
@@ -409,15 +401,15 @@ def exhaustive_matrix_census(gf: GF, target: str, jobs: int = 1,
     semi-involutory MDS (target "SI_MDS") or involutory MDS (target
     "INV_MDS") ones.  Matrices with a zero entry cannot be MDS, so the
     scan covers (q-1)^9 candidates, in stages that test each condition
-    as soon as the entries it reads are known.  SI_MDS is scanned up to
-    q = 8 and INV_MDS up to q = 16; larger q raises BudgetError.
+    as soon as the entries it reads are known.  Both targets are
+    scanned up to q = 16, the cap the tuple sets and the enumeration
+    share; larger q raises BudgetError.
     `progress(fraction)` is called as each span of the scan finishes."""
     if target not in _STAGES:
         raise ValueError("target must be SI_MDS or INV_MDS")
-    _require_char2_desk(gf, max_q=_SCAN_MAX_Q[target])
-    stages = _STAGES[target]
-    total = (gf.q - 1) ** len(stages[0][0])
-    return sum(_run_partitioned(_matrix_census_worker, (gf.to_dict(), target),
+    _require_char2_desk(gf)
+    total = (gf.q - 1) ** len(_STAGES[target][0][0])
+    return sum(_run_partitioned(_matrix_census_worker, (gf, target),
                                 total, jobs, parts=_SCAN_SPANS, progress=progress))
 
 
@@ -596,8 +588,7 @@ def _sweep_worker(args) -> tuple:
     them span the full (q-1, q-1, R).  Each counter sums its mask
     broadcast to that full shape, so it counts every 8-tuple whatever
     axes the mask reads."""
-    field_dict, lo, hi = args
-    gf = GF.from_dict(field_dict)
+    gf, lo, hi = args
     f = bulk_ops(gf)
     base = gf.q - 1
     (g,) = nonzero_grid(gf.q, 1)
@@ -644,7 +635,7 @@ def sweep_parameter_space(gf: GF, jobs: int = 1) -> SweepResult:
     and only one of x and y once for q-1 pairs, and the counters still
     count every 8-tuple; nothing is sampled or skipped."""
     _require_char2_desk(gf, max_q=8)
-    parts = _run_partitioned(_sweep_worker, (gf.to_dict(),), (gf.q - 1) ** 6, jobs)
+    parts = _run_partitioned(_sweep_worker, (gf,), (gf.q - 1) ** 6, jobs)
     sums = [sum(p[i] for p in parts) for i in range(4)]
     return SweepResult((gf.q - 1) ** 8, *sums)
 
@@ -686,6 +677,8 @@ def run_census(gf: GF, sets=None, mode: str = "both", exhaustive: bool = False,
     scan."""
     if gf.p != 2 or gf.m < 2:
         raise ValueError("census is defined over GF(2^m), m >= 2")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     if sets is None:
         sets = SET_NAMES
     bad = [s for s in sets if s not in SET_NAMES]

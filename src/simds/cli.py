@@ -18,7 +18,7 @@ from .construct import (SiParams, build_matrix, curupira_is_mds,
                         sum_conditions)
 from .errors import BudgetError, InternalMismatchError
 from .field import GF, json_ints
-from .matrix import Diagonal, Matrix
+from .matrix import CHECK_BUDGET, Diagonal, Matrix
 from .si import SiVerdict, canonical_witness, si_check_3x3, si_oracle
 
 EXIT_OK = 0
@@ -77,6 +77,8 @@ def cmd_field_table(args) -> int:
 
 
 def _check_report(A: Matrix) -> dict:
+    if A.n ** 2 > CHECK_BUDGET:  # det, is_involutory and the oracle grow like n^3
+        raise BudgetError(f"n^2 = {A.n ** 2} entries exceed the check budget {CHECK_BUDGET}")
     rep: dict = {"mds": A.is_mds(), "involutory": A.is_involutory()}
     if A.det() == 0:
         rep.update({"si": False, "branch": "not-si", "singular": True})

@@ -11,8 +11,10 @@ arrays of matrices (f = `_tables.bulk_ops(gf)`).  `is_mds` takes
 each minor's `_det` from plain rows.
 
 CHECK_BUDGET, fixed at 4096, caps the work of a single-matrix check: the
-minors `is_mds` examines and the diagonals `si.associated_diagonals`
-searches, so a check ends in bounded time at any n and q.
+minors `is_mds` examines, the diagonals `si.associated_diagonals`
+searches, and the n^2 entries `simds check` accepts (n <= 64) before its
+O(n^3) determinant and involution test, so a check ends in bounded time
+and memory at any n and q.
 """
 
 from __future__ import annotations

@@ -129,6 +129,9 @@ def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
                     [88494, 1176], [1176, 1176]]),
     (16, "INV_MDS", [[759375, 47475], [10681875, 664650], [9969750, 664650],
                      [9969750, 37800], [37800, 37800]]),
+    (16, "SI_MDS", [[11390625, 759375], [11390625, 10631250],
+                    [159468750, 138206250], [138206250, 127575000],
+                    [127575000, 127575000]]),
 ])
 def test_scan_survivor_counts(gf8, gf8b, gf16a, q, target, want):
     """Per stage of the exhaustive scan, the candidates it sees and,
@@ -597,10 +600,9 @@ def test_sweep_and_enumeration_traced_peaks(gf8b):
 def test_budget_policies(gf16a):
     with pytest.raises(BudgetError):
         enumeration_stats(gf16a)  # needs long_run
-    with pytest.raises(BudgetError):
-        exhaustive_matrix_census(gf16a, "SI_MDS")
-    with pytest.raises(BudgetError):
-        exhaustive_matrix_census(GF(2, 5, 0b100101), "INV_MDS")
+    for target in ("SI_MDS", "INV_MDS"):
+        with pytest.raises(BudgetError):
+            exhaustive_matrix_census(GF(2, 5, 0b100101), target)
     with pytest.raises(BudgetError):
         sweep_parameter_space(gf16a)
     with pytest.raises(ValueError):
@@ -627,8 +629,8 @@ def test_run_census_formula_only(gf16a):
     assert reports[1].formula_value == 37800
 
 
-def test_run_census_budget_noted(gf16a):
-    reports = run_census(gf16a, sets=("SI_MDS",), exhaustive=True)
+def test_run_census_budget_noted():
+    reports = run_census(GF(2, 5, 0b100101), sets=("SI_MDS",), exhaustive=True)
     (r,) = reports
     assert r.brute_force_value is None and r.match is None
     assert r.note and "desk scale" in r.note

@@ -5,6 +5,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from simds import GF
 from simds.cli import main
 
@@ -89,6 +91,26 @@ def test_check_large_n_exit_3(capsys):
         assert time.monotonic() - t0 < 2.0
 
 
+def test_check_entry_budget_exit_3(capsys):
+    """`check` refuses a matrix of more than CHECK_BUDGET = 4096 entries
+    before its O(n^3) work: det, the involution test and the oracle's
+    search plan.  A triangular matrix over GF(2) has a width-1 diagonal
+    search and a zero entry, so no other budget stops it."""
+    n = 200
+    gf2 = GF(2)
+    gf16 = GF(2, 4, 0b10011)
+    payloads = (
+        {**gf2.to_dict(), "rows": [[int(j >= i) for j in range(n)] for i in range(n)]},
+        {**gf16.to_dict(), "rows": [[(i * n + j) % 16 for j in range(n)]
+                                    for i in range(n)]})
+    for payload in payloads:
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "check", "--json", json.dumps(payload))
+        assert time.monotonic() - t0 < 1.0
+        assert code == 3 and not out
+        assert err == "budget: n^2 = 40000 entries exceed the check budget 4096\n"
+
+
 def test_check_oracle_budget_exit_3(capsys):
     """The semi-involutory check of a non-singular 4x4 matrix over
     GF(16) stops at its diagonal budget: 15^4 diagonals exceed 4096."""
@@ -107,6 +129,15 @@ def test_count_many_jobs_capped(capsys, inline_pool):
                        "--set", "S", "--jobs", "100000")
     assert code == 0 and json.loads(out)["match"] is True
     assert inline_pool == [min(3 ** 6, os.cpu_count() or 1)]
+
+
+@pytest.mark.parametrize("command", ["count", "verify-lemmas"])
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_exit_2(capsys, command, jobs):
+    """A job count below 1 is bad input, not a silent one-process run."""
+    code, out, err = run(capsys, command, "--m", "2", "--poly", "7", "--jobs", str(jobs))
+    assert code == 2 and not out
+    assert err == f"error: jobs must be at least 1, not {jobs}\n"
 
 
 def test_build_gf16_example(capsys):
@@ -372,6 +403,8 @@ def test_count_long_run_over_budget_exit_3(capsys):
     still over budget exits 3 with a `budget:` line per set."""
     for argv, sets in ((("--m", "5", "--poly", "37", "--set", "SI_MDS,S"),
                         ["S", "SI_MDS"]),
+                       (("--m", "5", "--poly", "37", "--set", "SI_MDS",
+                         "--exhaustive"), ["SI_MDS"]),
                        (("--m", "9", "--poly", "529", "--set", "INV_MDS",
                          "--exhaustive"), ["INV_MDS"])):
         t0 = time.monotonic()

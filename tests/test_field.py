@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import time
 
 import numpy as np
@@ -290,6 +291,18 @@ def test_serialization_roundtrip(gf8, f11):
     assert GF.from_dict(gf8.to_dict()) == gf8
     assert f11.to_dict() == {"p": 11, "m": 1}
     assert GF.from_dict({"p": 11, "m": 1}) == f11
+
+
+def test_pickle_roundtrip(gf16a, f11):
+    """The census workers receive the field itself, pickled, with its
+    tables; GF(2^9) has none."""
+    for gf in (gf16a, f11, GF(2, 9, 529)):
+        back = pickle.loads(pickle.dumps(gf))
+        assert back == gf and hash(back) == hash(gf)
+        assert (back.q, back.poly) == (gf.q, gf.poly)
+        assert back._mul_table == gf._mul_table
+        assert back._inv_table == gf._inv_table
+    assert GF(2, 9, 529)._mul_table is None
 
 
 def test_field_identity_semantics(gf8, gf8b):
