@@ -131,7 +131,9 @@ def _run_partitioned(worker, args, total: int, jobs: int, parts: int = 1,
     spans of range(total), in a pool of at most `jobs` processes, and
     no more than the spans or the CPUs, when jobs > 1.  Results come
     back in completion order; `progress(fraction)` is called as each
-    span finishes."""
+    span finishes; ValueError when jobs < 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     tasks = [(*args, lo, hi) for lo, hi in _ranges(total, max(jobs, parts))]
     if jobs <= 1 or len(tasks) <= 1:
         return _reported(map(worker, tasks), len(tasks), progress)

@@ -12,7 +12,8 @@ each minor's `_det` from plain rows.
 
 CHECK_BUDGET, fixed at 4096, caps the work of a single-matrix check: the
 minors `is_mds` examines, the diagonals `si.associated_diagonals`
-searches, and the n^2 entries `simds check` accepts (n <= 64) before its
+searches, the values of d2 the 3x3 witness walk `si._least_witness`
+visits, and the n^2 entries `simds check` accepts (n <= 64) before its
 O(n^3) determinant and involution test, so a check ends in bounded time
 and memory at any n and q.
 """

@@ -12,9 +12,11 @@ detectors are provided:
   on many matrices at once;
 * `si_check_3x3` decides the 3x3 case from the entries alone, by two
   closed forms: `nowhere_zero_si` for a matrix with at most one zero,
-  and a 2x2 block form for two or more.  It searches diagonals only for
-  a witness.  Its conditions take a field argument `f` and the entries
-  row by row, so `census` runs `nowhere_zero_si` on arrays.
+  and a 2x2 block form for two or more.  It solves a semi-involutory
+  matrix's witness from the cells of A D A, in one walk over d2 that
+  calls nothing of the oracle's search.  Its conditions take a field
+  argument `f` and the entries row by row, so `census` runs
+  `nowhere_zero_si` on arrays.
 
 The two must agree everywhere; the test suite compares them
 exhaustively over GF(3) and GF(4) and on samples over GF(5), GF(7),
@@ -95,20 +97,22 @@ def associated_diagonals(A: Matrix) -> list[tuple]:
     `oracle_hits` on a batch of one matrix; the result is identical to
     the scalar loop.
     """
-    return _diagonals_with_lead(A, ())
-
-
-def _least_witness(A: Matrix) -> tuple | None:
-    """The lexicographically least associated diagonal of A, or None.
-
-    A non-zero multiple of a witness is a witness, so the least one has
-    d1 = 1: only the (q-1)^(n-1) diagonals with d1 = 1 are searched."""
-    wits = _diagonals_with_lead(A, (1,))
-    return wits[0] if wits else None
+    gf, n = A.gf, A.n
+    if gf.p == 2 and gf.q <= TABLE_MAX_Q:
+        e = np.array(A.rows, dtype=np.uint8).reshape(-1, 1)
+        hits = oracle_hits(gf, e)[0].nonzero()[0]
+        grid = nonzero_grid(gf.q, n)
+        return [tuple(int(col[h]) for col in grid) for h in hits]
+    _search_width(gf.q, n)
+    coeff = _ada_coefficients(A)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    return [d for d in product(gf.elements(True), repeat=n)
+            if all((_ada_entry(gf, coeff[i][j], d) != 0) == (i == j)
+                   for i, j in cells)]
 
 
 def _search_width(q: int, free: int) -> int:
-    """(q-1)^free, the diagonals a search over `free` entries visits;
+    """(q-1)^free, the values a search over `free` entries visits;
     BudgetError above `CHECK_BUDGET`."""
     total = (q - 1) ** free
     if total > CHECK_BUDGET:
@@ -117,33 +121,42 @@ def _search_width(q: int, free: int) -> int:
     return total
 
 
-def _diagonals_with_lead(A: Matrix, lead: tuple) -> list[tuple]:
-    """The associated diagonals of A that begin with `lead`, ascending,
-    searched over every non-zero value of the remaining entries."""
-    gf, n = A.gf, A.n
-    free = n - len(lead)
-    if gf.p == 2 and gf.q <= TABLE_MAX_Q:
-        e = np.array(A.rows, dtype=np.uint8).reshape(-1, 1)
-        hits = oracle_hits(gf, e, lead)[0].nonzero()[0]
-        grid = nonzero_grid(gf.q, free)
-        return [lead + tuple(int(col[h]) for col in grid) for h in hits]
-    _search_width(gf.q, free)
-    coeff = _ada_coefficients(A)
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    return [lead + d for d in product(gf.elements(True), repeat=free)
-            if all((_ada_entry(gf, coeff[i][j], lead + d) != 0) == (i == j)
-                   for i, j in cells)]
+def _least_witness(A: Matrix) -> tuple | None:
+    """The lexicographically least associated diagonal of a 3x3 matrix,
+    or None, solved from the cells of A D A rather than searched.
+
+    A non-zero multiple of a witness is a witness, so the least one has
+    d1 = 1, and each cell of A D A is t0 + t1 d2 + t2 d3.  If some
+    off-diagonal cell has t2 != 0, each d2 fixes d3 by that cell.
+    Otherwise d3 moves only the diagonal cells, each affine in d3, which
+    rule out at most three values, so the least d3 is among the first
+    four.  d2 walks upwards: at most 4 (q-1) candidates, and BudgetError
+    when q - 1 exceeds `CHECK_BUDGET`."""
+    gf = A.gf
+    _search_width(gf.q, 1)
+    t = _ada_coefficients(A)
+    cells = sorted(((t[i][j], i == j) for i in range(3) for j in range(3)),
+                   key=lambda c: c[1])
+    pivot = next((c for c, on in cells if not on and c[2]), None)
+    if pivot:
+        scale = gf.neg(gf.inv(pivot[2]))
+    for d2 in gf.elements(True):
+        d3s = ([gf.mul(scale, gf.add(pivot[0], gf.mul(pivot[1], d2)))]
+               if pivot else gf.elements(True)[:4])
+        for d in ((1, d2, d3) for d3 in d3s if d3):
+            if all((_ada_entry(gf, c, d) != 0) == on for c, on in cells):
+                return d
+    return None
 
 
 @cache
-def _search_plan(q: int, n: int, lead: tuple) -> tuple:
+def _search_plan(q: int, n: int) -> tuple:
     """For `oracle_hits`: the width w of the search, its (n, w) diagonals,
     and per cell c = (i, j) of A D A, off-diagonal cells first, the flat
     entry indices of a_ik and a_kj (so t[c, k] = a_ik a_kj) and whether
     the cell lies on the diagonal."""
-    w = _search_width(q, n - len(lead))
-    d = np.stack([np.full(w, v, np.uint8) for v in lead]
-                 + list(nonzero_grid(q, n - len(lead))))
+    w = _search_width(q, n)
+    d = np.stack(nonzero_grid(q, n))
     d.setflags(write=False)
     cells = sorted(product(range(n), repeat=2), key=lambda c: c[0] == c[1])
     ks = np.arange(n)
@@ -153,23 +166,23 @@ def _search_plan(q: int, n: int, lead: tuple) -> tuple:
     return w, d, ik, kj, want
 
 
-def oracle_hits(gf: GF, e, lead: tuple = ()) -> np.ndarray:
+def oracle_hits(gf: GF, e) -> np.ndarray:
     """The literal diagonal search of `si_oracle` over a batch of N
     matrices, for characteristic 2 and q <= TABLE_MAX_Q.
 
     `e` holds the n^2 entries of the n x n matrices row by row
     (a_{i+1, j+1} = e[n i + j]), each an N-long column.  Returns the
     (N, w) mask of the (matrix, diagonal) pairs whose A D A is diagonal
-    and non-singular, over the w = (q-1)^(n - len(lead)) diagonals that
-    begin with `lead`, in the order of `nonzero_grid`; BudgetError when
-    w exceeds `CHECK_BUDGET`.  A singular matrix has no hit, since
-    A D A non-singular makes A non-singular.
+    and non-singular, over all w = (q-1)^n non-singular diagonals, in
+    the order of `nonzero_grid`; BudgetError when w exceeds
+    `CHECK_BUDGET`.  A singular matrix has no hit, since A D A
+    non-singular makes A non-singular.
 
     The matrices lie on a (N, 1) axis and the diagonals on a (1, w)
     one, in blocks of at most `_CHUNK` pairs.  One off-diagonal cell
     of A D A is tested on that grid; the kept pairs, compacted flat,
     then test the other cells."""
-    w, d, ik, kj, want = _search_plan(gf.q, math.isqrt(len(e)), lead)
+    w, d, ik, kj, want = _search_plan(gf.q, math.isqrt(len(e)))
     f = bulk_ops(gf)
     a = np.asarray(e, dtype=np.uint8)
     hits = np.zeros((a.shape[1], w), dtype=bool)
@@ -348,10 +361,10 @@ def si_check_3x3(A: Matrix) -> SiVerdict:
     The branch label follows the zero count: `nowhere-zero`,
     `single-zero` or `reducible-form`.
 
-    Only a positive verdict searches diagonals, for a witness: the
-    canonical one with c = 1 when the matrix is irreducible, and the
-    lexicographically least one otherwise, found among the (q-1)^2
-    diagonals with d1 = 1 by `_least_witness`.
+    Only a positive verdict looks for a witness: the canonical one with
+    c = 1 when the matrix is irreducible, and the lexicographically
+    least one otherwise, solved by `_least_witness` in q - 1 steps at
+    most; BudgetError when q - 1 exceeds `CHECK_BUDGET`.
     """
     if A.n != 3:
         raise ValueError("si_check_3x3 needs a 3x3 matrix")

@@ -95,6 +95,18 @@ def test_jobs_do_not_change_counts(gf8b):
                 == exhaustive_matrix_census(gf8b, target, jobs=3) == want)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("run", [
+    lambda gf, jobs: brute_force_S(gf, "S", jobs=jobs),
+    lambda gf, jobs: exhaustive_matrix_census(gf, "INV_MDS", jobs=jobs),
+    lambda gf, jobs: sweep_parameter_space(gf, jobs=jobs),
+], ids=["brute_force_S", "exhaustive_matrix_census", "sweep_parameter_space"])
+def test_jobs_below_one_rejected(gf4, run, jobs):
+    """A job count below 1 is bad input, not a silent one-process run."""
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, not {jobs}"):
+        run(gf4, jobs)
+
+
 @pytest.mark.parametrize("target", ["SI_MDS", "INV_MDS"])
 def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
     """With tests that keep every candidate, a target's stages reach
@@ -565,10 +577,9 @@ def test_spot_checks_follow_build_order(gf8b, built_keys_gf8b, monkeypatch):
     q = 8."""
     checked = []
 
-    def spy(gf, e, lead=()):
-        assert lead == ()
+    def spy(gf, e):
         checked.extend(zip(*(col.tolist() for col in e)))
-        return oracle_hits(gf, e, lead)
+        return oracle_hits(gf, e)
 
     monkeypatch.setattr(census, "oracle_hits", spy)
     assert enumeration_stats(gf8b).distinct == 403368

@@ -124,6 +124,28 @@ def test_check_oracle_budget_exit_3(capsys):
     assert time.monotonic() - t0 < 1.0
 
 
+@pytest.mark.parametrize("m, poly", [(8, 283), (12, 4179), (13, 8219)])
+def test_check_3x3_witness_reach(capsys, m, poly):
+    """A 3x3 `check` solves its witness in one walk over d2, so the
+    matrix `build` makes from a = (2, 3, 5), d = (7, 11, 13), x = 17,
+    y = 19 is witnessed over GF(2^8) and GF(2^12), with c = 1 and D a
+    multiple of d; over GF(2^13) the walk's q - 1 exceeds the budget."""
+    gf = GF(2, m, poly)
+    params = {"field": gf.to_dict(), "a": [2, 3, 5], "d": [7, 11, 13], "x": 17, "y": 19}
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "build", "--json", json.dumps(params))
+    assert code == 0
+    code, out, err = run(capsys, "check", "--json", json.dumps(json.loads(out)["matrix"]))
+    assert time.monotonic() - t0 < 2.0
+    if m == 13:
+        assert code == 3 and not out
+        assert err == "budget: (q-1)^1 = 8191 exceeds the search budget 4096\n"
+        return
+    rep = json.loads(out)
+    assert code == 0 and rep["si"] is True and rep["c"] == 1
+    assert len({gf.div(w, d) for w, d in zip(rep["D"], (7, 11, 13))}) == 1
+
+
 def test_count_many_jobs_capped(capsys, inline_pool):
     code, out, _ = run(capsys, "count", "--m", "2", "--poly", "7",
                        "--set", "S", "--jobs", "100000")

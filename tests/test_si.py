@@ -420,24 +420,22 @@ def test_oracle_hits_verdicts_match_scalar_oracle(monkeypatch, gf8, gf16a):
 
 def test_oracle_hits_lists_every_associated_diagonal(monkeypatch, gf4, gf8, gf16a):
     """Row k of the hit mask marks, in `nonzero_grid` order, exactly the
-    diagonals `associated_diagonals` lists for matrix k, and with lead
-    (1,) those of them with d1 = 1, whatever the block size."""
+    diagonals `associated_diagonals` lists for matrix k, whatever the
+    block size."""
     from simds import si
     from simds._tables import nonzero_grid
     for gf, n in ((gf4, 300), (gf8, 300), (gf16a, 60)):
         samples = _seeded_sample(gf, 71, n)
         want = [associated_diagonals(A) for A in samples]
         assert any(want) and not all(want)
+        grid = np.stack(nonzero_grid(gf.q, 3), axis=1)
         for chunk in (si._CHUNK, 5000):
             monkeypatch.setattr(si, "_CHUNK", chunk)
-            for lead in ((), (1,)):
-                grid = np.stack(nonzero_grid(gf.q, 3 - len(lead)), axis=1)
-                hits = oracle_hits(gf, _columns(samples), lead)
-                assert hits.shape == (n, len(grid))
-                got = [[lead + tuple(map(int, grid[h])) for h in np.flatnonzero(row)]
-                       for row in hits]
-                assert got == [[d for d in wits if d[:len(lead)] == lead]
-                               for wits in want]
+            hits = oracle_hits(gf, _columns(samples))
+            assert hits.shape == (n, len(grid))
+            got = [[tuple(map(int, grid[h])) for h in np.flatnonzero(row)]
+                   for row in hits]
+            assert got == want
     with pytest.raises(BudgetError):
         oracle_hits(gf16a, [[1]] * 16)
 
@@ -454,15 +452,27 @@ def _built_si(gf, seed, count):
 
 
 def test_least_witness_is_first_associated_diagonal(monkeypatch, gf8, gf8b, gf16a):
-    """`si_check_3x3`'s witness search, over the diagonals with d1 = 1
-    only, finds the least of all associated diagonals: on every
-    semi-involutory matrix over GF(4) and on built ones over GF(8) and
-    GF(16), and, by the scalar loop, also none on the other matrices."""
+    """`si_check_3x3`'s witness walk finds the least of all associated
+    diagonals, or None where there is none: on all 4^9 matrices over
+    GF(4), by the batched oracle's first hit (a singular matrix has
+    none), on built matrices over GF(8) and GF(16), and, by the scalar
+    loop, on seeded random ones."""
     from simds import si
-    gf4_si = gf4_si_matrices()
-    assert len(gf4_si) == 8370
+    from simds._tables import nonzero_grid
+    e = np.indices((4,) * 9, dtype=np.uint8).reshape(9, -1)
+    hits = oracle_hits(GF4, e)
+    grid = [tuple(map(int, d)) for d in zip(*nonzero_grid(4, 3))]
+    least = [grid[k] if hit else None
+             for k, hit in zip(hits.argmax(axis=1).tolist(), hits.any(axis=1).tolist())]
+    nonsingular = 0
+    for t, want in zip(itertools.product(range(4), repeat=9), least):
+        A = Matrix(GF4, (t[0:3], t[3:6], t[6:9]))
+        if A.det() != 0:
+            nonsingular += 1
+            assert si._least_witness(A) == want
+    assert nonsingular == 181440 and len(least) - least.count(None) == 8370
     built = _built_si(gf8b, 59, 300) + _built_si(gf16a, 61, 300)
-    for A in gf4_si + built:
+    for A in built:
         assert si._least_witness(A) == associated_diagonals(A)[0]
     monkeypatch.setattr(si, "TABLE_MAX_Q", 0)
     mixed = _seeded_sample(gf8, 47, 200)
@@ -470,6 +480,36 @@ def test_least_witness_is_first_associated_diagonal(monkeypatch, gf8, gf8b, gf16
     for A in mixed + built[:20]:
         wits = associated_diagonals(A)
         assert si._least_witness(A) == (wits[0] if wits else None)
+
+
+def _least_by_products(A):
+    """The first diagonal (1, d2, d3), ascending, whose A D A the
+    `Matrix` product shows diagonal and non-singular, or None."""
+    gf = A.gf
+    for d2, d3 in itertools.product(gf.elements(True), repeat=2):
+        rows = ((A @ Diagonal(gf, (1, d2, d3))) @ A).rows
+        if all((rows[i][j] != 0) == (i == j) for i in range(3) for j in range(3)):
+            return (1, d2, d3)
+    return None
+
+
+def test_least_witness_matches_diagonal_loop():
+    """Above the oracle's table search, at q = 32 and 64, the witness
+    walk equals a loop over all (q-1)^2 diagonals with d1 = 1 that reads
+    no `si` helper: on built matrices and on ones with two to five
+    zeros, semi-involutory or not."""
+    from simds import si
+    for gf in (GF(2, 5, 0b100101), GF(2, 6, 0b1000011)):
+        rng = random.Random(gf.q)
+        samples = _built_si(gf, gf.q, 10)
+        while len(samples) < 20:
+            e = _with_zeros(rng, gf.q)
+            A = Matrix(gf, [e[0:3], e[3:6], e[6:9]])
+            if A.det() != 0:
+                samples.append(A)
+        want = [_least_by_products(A) for A in samples]
+        assert [si._least_witness(A) for A in samples] == want
+        assert any(w is None for w in want[10:]) and all(want[:10])
 
 
 class _Forbidden(Exception):
@@ -531,6 +571,7 @@ def test_entry_test_matches_oracle_in_odd_characteristic():
         want = A.det() != 0 and si_oracle(A).si
         assert v.si == want
         if v.si:
+            assert v.witness == si_oracle(A).witness
             branches.add((gf.q, v.branch))
     assert (5, "nowhere-zero") in branches
     assert {(3, "single-zero"), (3, "reducible-form")} <= branches
@@ -539,18 +580,17 @@ def test_entry_test_matches_oracle_in_odd_characteristic():
 
 def test_entry_test_searches_diagonals_only_for_witness(monkeypatch, gf4, gf8):
     """On every zero pattern `si_check_3x3` decides from the entries
-    alone: it reaches the oracle's diagonal search only to produce the
-    witness of a semi-involutory matrix."""
+    alone, and solves its witness without the oracle's diagonal search:
+    with that search broken it still returns the oracle's verdict and a
+    witness that `_verify_witness` accepts."""
     from simds import si
     samples = _seeded_sample(gf4, 41, 400) + _seeded_sample(gf8, 43, 400)
     verdicts = [si_oracle(A).si for A in samples]
     assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100
-    monkeypatch.setattr(si, "associated_diagonals", _forbidden)
-    monkeypatch.setattr(si, "_least_witness", _forbidden)
-    monkeypatch.setattr(si, "oracle_hits", _forbidden)
+    for name in ("associated_diagonals", "oracle_hits", "_search_plan"):
+        monkeypatch.setattr(si, name, _forbidden)
     for A, is_si in zip(samples, verdicts):
+        v = si_check_3x3(A)
+        assert v.si is is_si
         if is_si:
-            with pytest.raises(_Forbidden):
-                si_check_3x3(A)
-        else:
-            assert si_check_3x3(A).si is False
+            si._verify_witness(A, v.witness)
