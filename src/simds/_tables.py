@@ -4,17 +4,28 @@
 tables (built by `GF` for q <= TABLE_MAX_Q) as read-only uint8 arrays.
 `bulk_ops` wraps them as the field's arithmetic over arrays, under
 `GF`'s own method names, so a kernel written over one field argument
-`f` runs on ints with f = gf and on arrays with f = bulk_ops(gf).  mul
-and inv are each one `ndarray.take` on a flat table, several times
-faster than a 2-D fancy index: mul(a, b) reads the product table
-raveled, at index a q + b.  That index is built as uint8 when q <= 16,
-where it is at most q^2 - 1 <= 255, and as uint16 above; by a multiply,
-not a shift, because numpy vectorises uint8 `*` but not uint8 `<<`.  It
-is built as a new array, not in place in the scaled copy of `a`, so
+`f` runs on ints with f = gf and on arrays with f = bulk_ops(gf).
+mul(a, b) reads the product table raveled, at index a q + b, built by a
+multiply, not a shift, because numpy vectorises uint8 `*` but not uint8
+`<<`, and as a new array, not in place in the scaled copy of `a`, so
 that a and b broadcast against each other like the operands of any
-numpy operator.  `_digits` peels the digits of a row index from the
-least significant end, one unsigned floor division per digit.  Only
-characteristic 2 is supported here (addition is XOR).
+numpy operator.
+
+When q <= 16 the index is at most q^2 - 1 <= 255, so it is built as
+uint8 and its bytes are translated through the table as 256 bytes by
+`bytearray.translate`: one byte lookup per product, where `take` would
+first copy the index to 8-byte intp: mul of 2^18 pairs at q = 8 takes
+0.14 ms against 0.46 ms (best of 50, 2 vCPU Xeon).  A bytearray, not
+bytes, so that the array `np.frombuffer` makes of the result is
+writable, like `take`'s.  The index is passed through a memoryview,
+since `bytearray` of a 0-d array or numpy scalar x makes x zero bytes,
+and is built in C order, since an index that inherits a non-contiguous
+operand's layout is copied element by element.  Above q = 16 the index
+is uint16 and mul, like inv, is one `ndarray.take` on a flat table,
+several times faster than a 2-D fancy index.  `_digits` peels the
+digits of a row index from the least significant end, one unsigned
+floor division per digit.  Only characteristic 2 is supported here
+(addition is XOR).
 """
 
 from __future__ import annotations
@@ -29,8 +40,9 @@ from .field import GF, TABLE_MAX_Q
 
 # rows (or broadcast pairs) per block of a bulk kernel; `take` in
 # `bulk_ops` copies each index to 8-byte intp, which bounds the peak
-# RSS.  The census sweep takes a quarter of it; the q = 8 exhaustive
-# scans took 0.073 s at 2^16 against 0.062 s at 2^18 (2 vCPU Xeon).
+# RSS, though only above q = 16 and in inv.  The census sweep takes a
+# quarter of it; the q = 8 exhaustive scans took 0.073 s at 2^16
+# against 0.062 s at 2^18 (2 vCPU Xeon).
 _CHUNK = 1 << 18
 
 
@@ -66,11 +78,22 @@ def bulk_ops(gf: GF) -> SimpleNamespace:
     XOR.  Results are uint8; the operands of mul, add and sub
     broadcast."""
     flat = mul_table(gf).ravel()
-    index = np.uint8 if gf.q <= 16 else np.uint16
-    q = index(gf.q)
-    return SimpleNamespace(
-        mul=lambda a, b: flat.take(np.asarray(a, index) * q + b),
-        inv=inv_table(gf).take, add=operator.xor, sub=operator.xor)
+    if gf.q <= 16:
+        q = np.uint8(gf.q)
+        table = flat.tobytes().ljust(256, b"\0")
+
+        def mul(a, b):
+            idx = np.add(np.asarray(a, np.uint8) * q, np.asarray(b, np.uint8),
+                         order="C")
+            products = bytearray(memoryview(idx)).translate(table)
+            return np.frombuffer(products, np.uint8).reshape(idx.shape)
+    else:
+        q = np.uint16(gf.q)
+
+        def mul(a, b):
+            return flat.take(np.asarray(a, np.uint16) * q + b)
+    return SimpleNamespace(mul=mul, inv=inv_table(gf).take,
+                           add=operator.xor, sub=operator.xor)
 
 
 def _digits(start: int, stop: int, ndigits: int, base: int) -> list[np.ndarray]:

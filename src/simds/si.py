@@ -71,12 +71,15 @@ class SiVerdict:
         return d
 
 
+def _ada_cell(A: Matrix, i: int, j: int) -> tuple:
+    """The n-tuple t_k = a_ik * a_kj, so that (ADA)_ij = sum_k t_k d_k."""
+    gf, r = A.gf, A.rows
+    return tuple(gf.mul(r[i][k], r[k][j]) for k in range(A.n))
+
+
 def _ada_coefficients(A: Matrix):
-    """For each cell (i, j) the triple t_k = a_ik * a_kj, so that
-    (ADA)_ij = sum_k t_k d_k."""
-    gf, r, n = A.gf, A.rows, A.n
-    return [[tuple(gf.mul(r[i][k], r[k][j]) for k in range(n))
-             for j in range(n)] for i in range(n)]
+    """`_ada_cell` for every cell (i, j), row by row."""
+    return [[_ada_cell(A, i, j) for j in range(A.n)] for i in range(A.n)]
 
 
 def _ada_entry(f, t, d):
@@ -206,10 +209,11 @@ def _witness_scalars(A: Matrix, d: tuple) -> tuple:
     With ADA = D', the products d_i * D'_i agree on a single value s,
     and (DA)^2 = sI while A^{-1} = s^{-1} D A D.  The reported pair is
     therefore c = s^{-1} (so that A^{-1} = c D A D, equivalently
-    D1 = c D2 for the derived pair) and a = c^{-1} = s."""
+    D1 = c D2 for the derived pair) and a = c^{-1} = s.  Only the n
+    diagonal cells are formed, n^2 products."""
     gf = A.gf
-    coeff = _ada_coefficients(A)
-    ss = {gf.mul(d[i], _ada_entry(gf, coeff[i][i], d)) for i in range(A.n)}
+    ss = {gf.mul(d[i], _ada_entry(gf, _ada_cell(A, i, i), d))
+          for i in range(A.n)}
     if len(ss) != 1:
         raise InternalMismatchError("associated scalar is not constant on an "
                                     "irreducible matrix")

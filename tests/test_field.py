@@ -261,22 +261,48 @@ def test_bulk_ops_match_scalar_arithmetic(m, poly):
                                      (5, 0b100101), (8, 0b100011011)])
 def test_bulk_mul_accepts_every_operand(m, poly):
     """`bulk_ops(gf).mul` equals gf.mul on every pair, whether its index
-    is uint8 (q <= 16) or uint16, for uint8, uint16 and int64 arrays and
-    Python ints on either side, either side broadcast."""
+    is translated as uint8 bytes (q <= 16) or taken as uint16, for uint8,
+    uint16 and int64 arrays, Python ints, numpy scalars and 0-d arrays on
+    either side, either side broadcast, and for operands that are not
+    C-contiguous.  Array results are writable uint8 of the broadcast
+    shape."""
     gf = GF(2, m, poly)
     q = gf.q
     mul = bulk_ops(gf).mul
     want = np.array([[gf.mul(x, y) for y in range(q)] for x in range(q)])
+
+    def check(got, expect):
+        assert got.dtype == np.uint8 and got.shape == np.shape(expect)
+        assert np.array_equal(got, expect)
+        if got.ndim:
+            assert got.flags.writeable
+
     elements = np.arange(q)
     for ta, tb in itertools.product((np.uint8, np.uint16, np.int64), repeat=2):
         a, b = elements.astype(ta), elements.astype(tb)
-        assert np.array_equal(mul(a[:, None], b[None, :]), want)
-        assert np.array_equal(mul(b[None, :], a[:, None]), want.T)
-        assert np.array_equal(mul(np.repeat(a, q), np.tile(b, q)), want.ravel())
+        check(mul(a[:, None], b[None, :]), want)
+        check(mul(b[None, :], a[:, None]), want.T)
+        check(mul(np.repeat(a, q), np.tile(b, q)), want.ravel())
     for x in (0, 1, q - 1, q // 2 + 1):
-        assert np.array_equal(mul(x, elements), want[x])
-        assert np.array_equal(mul(elements.astype(np.uint8), x), want[:, x])
+        check(mul(x, elements), want[x])
+        check(mul(elements.astype(np.uint8), x), want[:, x])
         assert [int(mul(x, y)) for y in range(q)] == want[x].tolist()
+        # bytearray(n) of an integer n makes n zero bytes
+        for y in (0, 1, q - 1):
+            for u, v in itertools.product((x, np.uint8(x), np.array(x, np.uint8)),
+                                          (y, np.uint8(y), np.array(y))):
+                check(np.asarray(mul(u, v)), want[x, y])
+    # non-C-contiguous operands: a transpose, `oracle_hits`' fancy index
+    # t[1:, :, mtx] on the last axis, and negative strides
+    a = np.repeat(elements, q).astype(np.uint8).reshape(q, q)
+    b = np.tile(elements, q).astype(np.uint8).reshape(q, q)
+    t = np.stack([a, b, a.T])
+    mtx = np.arange(q)[::-1][: max(1, q // 2)]
+    for u, v in ((a.T, b.T), (a.T, b), (t[1:, :, mtx], t[:2, :, mtx]),
+                 (a[::-1, ::-2], b[::-1, ::-2]),
+                 (elements[::-1, None], elements[None, ::-3])):
+        assert not (u.flags.c_contiguous and v.flags.c_contiguous)
+        check(mul(u, v), want[u, v])
 
 
 def test_sqrt(small_field):

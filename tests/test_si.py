@@ -103,6 +103,33 @@ def test_check_gf16_example(gf16b):
     assert not A.is_reducible()
 
 
+def test_positive_verdict_forms_ada_coefficients_once(monkeypatch, gf8, gf16b):
+    """A positive 3x3 verdict forms the 27 products of `_ada_coefficients`
+    once, in `_least_witness`: `_witness_scalars`, directly or through
+    `canonical_witness`, forms only the three diagonal cells."""
+    from simds import si
+    f5 = GF(5)
+    samples = [Matrix(gf8, [[6, 1, 5], [1, 6, 3], [5, 3, 6]]),
+               Matrix(gf16b, [[1, 10, 10], [9, 2, 10], [8, 5, 4]]),
+               Matrix(f5, [[4, 1, 2], [4, 2, 3], [1, 1, 1]])]
+    samples += gf4_si_matrices()[::400]
+    before = [si_check_3x3(A) for A in samples]
+    assert {v.branch for v in before} == {"nowhere-zero", "single-zero",
+                                          "reducible-form"}
+    calls = []
+    real = si._ada_coefficients
+
+    def spy(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(si, "_ada_coefficients", spy)
+    for A, want in zip(samples, before):
+        calls.clear()
+        assert si_check_3x3(A) == want and want.si
+        assert calls == [A]
+
+
 def test_check_nowhere_zero_necessary_condition(gf8):
     """Unequal triangle products rule out the semi-involutory property
     for any non-singular nowhere-zero matrix."""
