@@ -19,8 +19,8 @@ with an independent brute-force verifier at desk scale:
 * the exhaustive matrix census, which judges all (q-1)^9 nowhere-zero
   3x3 matrices and counts the semi-involutory MDS (or involutory MDS)
   ones with no reference to the construction.  It fixes the entries in
-  stages (SI_MDS: the six off-diagonal entries, then a11, a22, a33;
-  INV_MDS: row 0 and column 0, then a22 and a32, then a23, then a33)
+  stages (SI_MDS: the six off-diagonal entries, then a11, then a22;
+  INV_MDS: row 0 and column 0, then a22 and a32, then a23)
   and tests each condition at the first stage where every entry it
   reads is known, and only there, so the candidates a test rejects are
   never expanded.  A stage crosses the values of its new entries, as
@@ -28,13 +28,14 @@ with an independent brute-force verifier at desk scale:
   so a product that does not read a new entry is computed once per
   survivor and numpy's inner loops run along the survivors.  The grid's
   mask is compacted flat, by `np.flatnonzero`, each kept index
-  splitting by divmod into a (value, survivor) pair.  SI_MDS's a33
-  stage searches no grid: `si.product_det` is affine in a33, so it
-  solves for the one a33, if any, that makes it vanish.  The last
-  stage, which adds no entry and reads every one, tests what is left
-  of the MDS conditions on the flat survivors and counts its mask
-  instead of compacting it.  At q = 16, 1.4e8 SI_MDS candidates reach
-  the a33 stage (5.0e5 at q = 8), and the scan takes seconds;
+  splitting by divmod into a (value, survivor) pair.  No stage crosses
+  a33: both conditions that read it first are affine in a33, so the
+  last stage, which adds no entry, solves for the one a33, if any, that
+  makes it vanish (SI_MDS: `si.product_det`; INV_MDS: entry (0, 2) of
+  A^2), tests what is left on the flat survivors with that a33, and
+  counts its mask instead of compacting it.  At q = 16, 1.4e8 SI_MDS
+  candidates reach the last stage (5.0e5 at q = 8), and the scan takes
+  seconds;
 * the parameter sweep, which checks the construction's MDS, A D A,
   determinant and zero-pattern claims on every 8-tuple (a11, a22, a33,
   d1, d2, d3, x, y): x, y and a block of R 6-tuples lie on three
@@ -66,7 +67,6 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -127,21 +127,23 @@ def _ranges(total: int, parts: int):
 
 def _run_partitioned(worker, args, total: int, jobs: int, parts: int = 1,
                      progress=None) -> list:
-    """Run `worker((*args, lo, hi))` over at least `parts` contiguous
-    spans of range(total), in a pool of at most `jobs` processes, and
-    no more than the spans or the CPUs, when jobs > 1.  Results come
-    back in completion order; `progress(fraction)` is called as each
-    span finishes; ValueError when jobs < 1."""
+    """Run `worker((*args, lo, hi))` over contiguous spans of
+    range(total), in a pool of at most `jobs` processes when jobs > 1.
+    `jobs` is first capped at the CPUs, so that neither the spans nor
+    the pool grow past them; there are then max(jobs, `parts`) spans,
+    and the pool is no larger than the spans.  Results come back in
+    completion order; `progress(fraction)` is called as each span
+    finishes; ValueError when jobs < 1."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     tasks = [(*args, lo, hi) for lo, hi in _ranges(total, max(jobs, parts))]
     if jobs <= 1 or len(tasks) <= 1:
         return _reported(map(worker, tasks), len(tasks), progress)
     # imported here: a one-process run never needs it
     from concurrent.futures import ProcessPoolExecutor, as_completed
     # the pool may start every worker on the first submit
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         futures = [pool.submit(worker, task) for task in tasks]
         return _reported((f.result() for f in as_completed(futures)),
                          len(tasks), progress)
@@ -200,17 +202,19 @@ def brute_force_S(gf: GF, subset: str = "S", jobs: int = 1,
 
 def distinct_diag_inner_count(gf: GF, a11: int, a22: int, a33: int) -> int:
     """For a fixed diagonal triple, the number of pairwise-distinct
-    non-zero (d1, d2, d3) satisfying the four sum conditions.  Closed
-    form, cross-checked by this literal loop: (q-1)(q^2-9q+20) when
-    a11+a22 = a33 and (q-1)(q^2-9q+22) otherwise."""
-    count = 0
-    for d1, d2, d3 in product(gf.elements(True), repeat=3):
-        if d1 == d2 or d1 == d3 or d2 == d3:
-            continue
-        if 0 in decisive_sums(gf, a11, a22, a33, d1, d2, d3):
-            continue
-        count += 1
-    return count
+    non-zero (d1, d2, d3) satisfying the four sum conditions, counted
+    over all (q-1)^3 of them in bulk, up to q = 16 as the tuple sets
+    are; `_distinct_diag_inner_formula` is its closed form."""
+    _require_char2_desk(gf)
+    d1, d2, d3 = nonzero_grid(gf.q, 3)
+    ok = _nonzero(*decisive_sums(bulk_ops(gf), a11, a22, a33, d1, d2, d3))
+    return int(np.count_nonzero(ok & (d1 != d2) & (d1 != d3) & (d2 != d3)))
+
+
+def _distinct_diag_inner_formula(q: int, a11: int, a22: int, a33: int) -> int:
+    """`distinct_diag_inner_count` in closed form over GF(q), q = 2^m:
+    (q-1)(q^2-9q+20) when a11+a22 = a33 and (q-1)(q^2-9q+22) otherwise."""
+    return (q - 1) * (q * q - 9 * q + (20 if a11 ^ a22 == a33 else 22))
 
 
 # -- 3x3 condition kernels ----------------------------------------------
@@ -240,18 +244,10 @@ def _product_entry(f, a, b, i: int, j: int) -> np.ndarray:
 
 # -- exhaustive matrix census -------------------------------------------
 #
-# A scan is a list of stages; each stage adds some entries and then
-# applies tests that read only entries known by that stage.  Candidates
+# A scan is a list of stages; each stage but the last adds some entries,
+# and each applies tests that read only entries known by then.  Candidates
 # live in dicts keyed by entry index, so a test that reads an entry not
 # yet known raises KeyError instead of reading garbage.
-
-def _rest_of_identity(f, e) -> np.ndarray:
-    """The six entries of A^2 = I that no earlier INV_MDS stage tests."""
-    ok = True
-    for i, j in ((0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)):
-        ok &= _product_entry(f, e, e, i, j) == int(i == j)
-    return ok
-
 
 def _mds_on_a33(f, e) -> np.ndarray:
     """The determinant and the four 2x2 minors that read a33: the parts
@@ -262,50 +258,60 @@ def _mds_on_a33(f, e) -> np.ndarray:
     return _nonzero(det3(f, e, (minor(f, e, (1, 2), (0, 1)), m[2], m[3])), *m)
 
 
-def _solve_a33(f, old: dict, new: dict) -> dict:
-    """The pairs of a survivor of `old` and an a33 of `new` (dicts of
-    flat columns keyed by entry index) on which `si.product_det`
-    vanishes, as flat columns.  It is slope a33 + const with neither
-    term reading a33, so a survivor keeps a33 = -const/slope when slope
-    != 0 and that is non-zero, every a33 when slope = const = 0, and
-    none when slope = 0 != const.  The solved pairs come first, in
-    survivor order."""
-    slope, const = product_det_terms(f, old)
-    # inv's 0 sentinel makes a33 = 0, and so drops it, wherever slope = 0
-    a33 = f.sub(0, f.mul(const, f.inv(slope)))
-    solved = np.flatnonzero(a33)
-    free = np.flatnonzero((slope == 0) & (const == 0))
-    values = new[8]
-    survivor = np.concatenate((solved, np.repeat(free, len(values))))
-    kept = {pos: c[survivor] for pos, c in old.items()}
-    kept[8] = np.concatenate((a33[solved], np.tile(values, len(free))))
-    return kept
+def _si_a33(f, e) -> np.ndarray:
+    """The a33 on which `si.product_det` vanishes, given the other eight
+    entries, or 0 where none does.  It is slope a33 + const with neither
+    term reading a33, so a33 = -const/slope, and slope = 0 leaves none,
+    by inv's 0 sentinel.  const = a23 a32 a31^2 minor((0,1),(0,1)), and
+    the stages before the last test each factor non-zero; a zero const,
+    for which every a33 would do, raises InternalMismatchError rather
+    than drop those matrices."""
+    slope, const = product_det_terms(f, e)
+    if not np.all(const):
+        raise InternalMismatchError("a scan survivor reached the a33 solve "
+                                    "with product_det's constant term zero")
+    return f.sub(0, f.mul(const, f.inv(slope)))
 
 
-class _Solved(NamedTuple):
-    """In `_STAGES`, a stage whose new entries are solved for, not
-    searched: `solve(f, old, new)` returns the kept pairs of a survivor
-    of `old` and a value of `new` as flat columns, as `_cross` does."""
-
-    solve: Callable
+def _inv_a33(f, e) -> np.ndarray:
+    """The a33 on which entry (0, 2) of A^2, a11 a13 + a12 a23 + a13 a33,
+    vanishes, given the other eight entries; a13 != 0."""
+    return f.sub(0, f.mul(f.mul(e[0], e[2]) ^ f.mul(e[1], e[5]), f.inv(e[2])))
 
 
-# (entries added, tests applied in order once they are known), or
-# (entries added, `_Solved`).  Each condition is tested at the first
-# stage where every entry it reads is known, and only there.  SI_MDS
-# tests both conditions of `si.nowhere_zero_si`: the triangle products
-# once the off-diagonal entries are known, and `product_det` by solving
-# for a33.  Its a11 and a22 stages test the five 2x2 minors that read no
-# a33, so that fewer survivors reach a33 (504,210 at q = 8), and its
-# last stage `_mds_on_a33` the other four and the determinant, which
-# includes the non-singularity the entry-level test presumes.  Every
-# INV_MDS candidate meets all nine entries of A^2 = I and `_mds_mask`.
-# A tested stage's tests run on the broadcast grid of its new entries'
-# values, as (w, 1) columns, by the survivors, as a (1, r) row, so a
-# product that does not read a new entry spans only the r survivors,
-# and the long axis is innermost; the solved stage sees the survivors as
-# flat (r,) columns.  A last stage adds no entries and reads them all:
-# its mask is counted, not compacted.
+def _si_mds_last(f, e) -> np.ndarray:
+    """SI_MDS's last stage: the solved a33 is non-zero and passes
+    `_mds_on_a33`."""
+    e = {**e, 8: _si_a33(f, e)}
+    return (e[8] != 0) & _mds_on_a33(f, e)
+
+
+def _inv_mds_last(f, e) -> np.ndarray:
+    """INV_MDS's last stage: the solved a33 is non-zero, the five
+    entries of A^2 = I that neither an earlier stage nor the solve
+    meets hold, and so does `_mds_mask`."""
+    e = {**e, 8: _inv_a33(f, e)}
+    ok = (e[8] != 0) & _mds_mask(f, e)
+    for i, j in ((1, 1), (1, 2), (2, 0), (2, 1), (2, 2)):
+        ok &= _product_entry(f, e, e, i, j) == int(i == j)
+    return ok
+
+
+# (entries added, tests applied in order once they are known).  Each
+# condition is tested at the first stage where every entry it reads is
+# known, and only there.  SI_MDS tests both conditions of
+# `si.nowhere_zero_si`: the triangle products once the off-diagonal
+# entries are known, and `product_det` by solving it for a33.  Its a11
+# and a22 stages test the five 2x2 minors that read no a33, so that
+# fewer survivors reach a33 (504,210 at q = 8), and its last stage the
+# other four and the determinant, which includes the non-singularity the
+# entry-level test presumes.  Every INV_MDS candidate meets all nine
+# entries of A^2 = I and `_mds_mask`.  A stage's tests run on the
+# broadcast grid of its new entries' values, as (w, 1) columns, by the
+# survivors, as a (1, r) row, so a product that does not read a new
+# entry spans only the r survivors, and the long axis is innermost.
+# The last stage adds no entry (w = 1): it solves for a33, which no
+# stage crosses, tests the rest, and its mask is counted, not compacted.
 _STAGES = {
     "SI_MDS": (
         ((1, 2, 3, 5, 6, 7), (triangle_products_agree,)),
@@ -314,15 +320,13 @@ _STAGES = {
         ((4,), (lambda f, e: _nonzero(minor(f, e, (0, 1), (1, 2)),
                                       minor(f, e, (1, 2), (0, 1)),
                                       minor(f, e, (0, 1), (0, 1))),)),
-        ((8,), _Solved(_solve_a33)),
-        ((), (_mds_on_a33,)),
+        ((), (_si_mds_last,)),
     ),
     "INV_MDS": (
         ((0, 1, 2, 3, 6), (lambda f, e: _product_entry(f, e, e, 0, 0) == 1,)),
         ((4, 7), (lambda f, e: _product_entry(f, e, e, 0, 1) == 0,)),
         ((5,), (lambda f, e: _product_entry(f, e, e, 1, 0) == 0,)),
-        ((8,), (_rest_of_identity,)),
-        ((), (_mds_mask,)),
+        ((), (_inv_mds_last,)),
     ),
 }
 
@@ -371,10 +375,9 @@ def _descend(f, q: int, stages, k: int, e: dict) -> int:
     """Count the survivors `e` (flat columns) of stages before k that
     pass stage k and every later stage.  Stage k takes the survivors in
     blocks of at most `_CHUNK` // w, for the w = (q-1)^len(entries)
-    non-zero values of its new entries (w = 1 for a stage that adds
-    none).  A `_Solved` stage solves each block for its entries; a
-    tested one crosses every value with the block by `_cross`, at most
-    `_CHUNK` pairs, and compacts the survivors once, or, as the last
+    non-zero values of its new entries (w = 1 for the last stage, which
+    adds none), and crosses every value with the block by `_cross`, at
+    most `_CHUNK` pairs, compacting the survivors once, or, as the last
     stage, which every scan ends with, counts its `_grid_mask`."""
     n = len(next(iter(e.values())))
     entries, tests = stages[k]
@@ -383,9 +386,7 @@ def _descend(f, q: int, stages, k: int, e: dict) -> int:
     count = 0
     for start in range(0, n, step):
         block = {pos: col[start:start + step] for pos, col in e.items()}
-        if isinstance(tests, _Solved):
-            count += _descend(f, q, stages, k + 1, tests.solve(f, block, grid))
-        elif k == len(stages) - 1:
+        if k == len(stages) - 1:
             count += int(np.count_nonzero(_grid_mask(f, tests, block, grid)))
         else:
             count += _descend(f, q, stages, k + 1, _cross(f, tests, block, grid))

@@ -110,8 +110,9 @@ def test_jobs_below_one_rejected(gf4, run, jobs):
 @pytest.mark.parametrize("target", ["SI_MDS", "INV_MDS"])
 def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
     """With tests that keep every candidate, a target's stages reach
-    each of the 3^9 nowhere-zero matrices over GF(4) exactly once, in
-    broadcast blocks of at most _CHUNK candidates."""
+    each of the 3^8 choices of the entries other than a33, all
+    non-zero, over GF(4) exactly once, in broadcast blocks of at most
+    _CHUNK candidates; a33 is left to the last stage to solve for."""
     monkeypatch.setattr(census, "_CHUNK", 100)
     sizes, keys = [], []
 
@@ -121,7 +122,8 @@ def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
         return mask
 
     def record(f, e):
-        cols = [e[k] for k in range(9)]
+        assert 8 not in e
+        cols = [e[k] for k in range(8)]
         assert all((col != 0).all() for col in cols)
         keys.append(_pack_keys(cols, gf4.m).ravel())
         return keep_all(f, e)
@@ -130,28 +132,27 @@ def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
     stages[-1] = (stages[-1][0], (record,))
     first = (gf4.q - 1) ** len(stages[0][0])
     visited = census._staged_count(bulk_ops(gf4), gf4.q, stages, 0, first)
-    assert visited == len(np.unique(np.concatenate(keys))) == 3 ** 9
+    assert visited == len(np.unique(np.concatenate(keys))) == 3 ** 8
     assert max(sizes) <= 100
 
 
 @pytest.mark.parametrize("q, target, want", [
     (8, "SI_MDS", [[117649, 16807], [117649, 100842], [705894, 504210],
-                   [504210, 403368], [403368, 403368]]),
+                   [504210, 403368]]),
     (8, "INV_MDS", [[16807, 2107], [103243, 12642], [88494, 12642],
-                    [88494, 1176], [1176, 1176]]),
+                    [12642, 1176]]),
     (16, "INV_MDS", [[759375, 47475], [10681875, 664650], [9969750, 664650],
-                     [9969750, 37800], [37800, 37800]]),
+                     [664650, 37800]]),
     (16, "SI_MDS", [[11390625, 759375], [11390625, 10631250],
-                    [159468750, 138206250], [138206250, 127575000],
-                    [127575000, 127575000]]),
+                    [159468750, 138206250], [138206250, 127575000]]),
 ])
 def test_scan_survivor_counts(gf8, gf8b, gf16a, q, target, want):
     """Per stage of the exhaustive scan, the candidates it sees and,
     after each of its tests, those that pass it and the stage's earlier
-    ones, counted over the broadcast shape of the stage's blocks; a
-    solved stage sees its survivors and keeps its solved pairs: facts
-    of the field, pinned here.  The two GF(8) moduli give isomorphic
-    fields, and so the same counts."""
+    ones, counted over the broadcast shape of the stage's blocks; the
+    last stage sees each survivor once and keeps those whose solved a33
+    passes: facts of the field, pinned here.  The two GF(8) moduli give
+    isomorphic fields, and so the same counts."""
     for gf in {8: (gf8b, gf8), 16: (gf16a,)}[q]:
         assert _scan_survivor_counts(gf, target) == want
 
@@ -161,14 +162,6 @@ def _scan_survivor_counts(gf, target):
     counts = [[0] * (len(tests) + 1) for _, tests in stages]
 
     def counting(k, tests):
-        if isinstance(tests, census._Solved):
-            def solve(f, old, new):
-                kept = tests.solve(f, old, new)
-                counts[k][0] += len(next(iter(old.values())))
-                counts[k][1] += len(kept[8])
-                return kept
-            return census._Solved(solve)
-
         def test(f, e):
             shape = np.broadcast_shapes(*(v.shape for v in e.values()))
             mask = np.ones(shape, dtype=bool)
@@ -190,9 +183,8 @@ def _scan_survivor_counts(gf, target):
 def test_scan_puts_survivors_innermost(gf8b, monkeypatch, target):
     """After the first stage, every test of the scan sees each survivor
     column as a (1, r) row and each new entry's values as a (w, 1)
-    column, so numpy's inner loops run along the survivors; a solved
-    stage sees its survivors as flat (r,) columns and the values of its
-    new entries as the flat (w,) grid."""
+    column, so numpy's inner loops run along the survivors; the last
+    stage, which adds no entry, sees the survivors alone."""
     stages = census._STAGES[target]
     seen = [0] * len(stages)
 
@@ -210,23 +202,8 @@ def test_scan_puts_survivors_innermost(gf8b, monkeypatch, target):
             return test(f, e)
         return wrapped
 
-    def solved(k, solve):
-        entries = stages[k][0]
-        known = {pos for earlier, _ in stages[:k] for pos in earlier}
-        w = (gf8b.q - 1) ** len(entries)
-
-        def wrapped(f, old, new):
-            assert set(old) == known and set(new) == set(entries)
-            r = {old[pos].shape for pos in known}
-            assert len(r) == 1 and len(*r) == 1
-            assert all(new[pos].shape == (w,) for pos in entries)
-            seen[k] += 1
-            return solve(f, old, new)
-        return census._Solved(wrapped)
-
     monkeypatch.setitem(census._STAGES, target, stages[:1] + tuple(
-        (entries, solved(k, tests.solve) if isinstance(tests, census._Solved)
-         else tuple(checked(k, t) for t in tests))
+        (entries, tuple(checked(k, t) for t in tests))
         for k, (entries, tests) in enumerate(stages) if k))
     assert exhaustive_matrix_census(gf8b, target) == formula_count(target, gf8b.m)
     assert all(seen[1:])
@@ -280,12 +257,12 @@ def test_cross_keeps_pairs_and_order(gf8b, old, new, fill):
             assert len(got[new[0]]) == (w * r if fill else 0)
 
 
-def _a22_survivors(gf):
-    """The flat survivors of the SI_MDS stages before a33, crossed in
-    one block each."""
+def _survivors(gf, target):
+    """The flat survivors of a target's stages before the last, crossed
+    in one block each."""
     f = bulk_ops(gf)
     e = {}
-    for entries, tests in census._STAGES["SI_MDS"][:3]:
+    for entries, tests in census._STAGES[target][:-1]:
         e = census._cross(f, tests, e, dict(zip(entries, nonzero_grid(gf.q, len(entries)))))
     return f, e
 
@@ -295,26 +272,38 @@ def _sorted_keys(e, m):
 
 
 def test_solved_a33_stage_matches_grid(gf4, gf8, gf8b):
-    """The solved a33 stage keeps exactly the (survivor, a33) pairs that
-    testing `product_det == 0` on the literal grid of every a33 keeps."""
-    for gf in (gf4, gf8, gf8b):
-        f, e = _a22_survivors(gf)
-        grid = {8: nonzero_grid(gf.q, 1)[0]}
-        solved = census._solve_a33(f, e, grid)
-        literal = census._cross(f, (lambda f, e: product_det(f, e) == 0,), e, grid)
-        assert set(solved) == set(range(9))
-        assert np.array_equal(_sorted_keys(solved, gf.m), _sorted_keys(literal, gf.m))
-        assert len(solved[8]) == {4: 0, 8: 403368}[gf.q]
+    """For both targets, the a33 the last stage solves for keeps exactly
+    the (survivor, a33) pairs that testing its condition (SI_MDS:
+    `product_det` = 0; INV_MDS: entry (0, 2) of A^2 = 0) on the literal
+    grid of every a33 keeps."""
+    conditions = {
+        "SI_MDS": (census._si_a33, lambda f, e: product_det(f, e) == 0),
+        "INV_MDS": (census._inv_a33,
+                    lambda f, e: census._product_entry(f, e, e, 0, 2) == 0),
+    }
+    for target, (solve, condition) in conditions.items():
+        for gf in (gf4, gf8, gf8b):
+            f, e = _survivors(gf, target)
+            a33 = solve(f, e)
+            keep = np.flatnonzero(a33)
+            solved = {pos: col[keep] for pos, col in e.items()}
+            solved[8] = a33[keep]
+            literal = census._cross(f, (condition,), e, {8: nonzero_grid(gf.q, 1)[0]})
+            assert set(literal) == set(range(9))
+            assert np.array_equal(_sorted_keys(solved, gf.m), _sorted_keys(literal, gf.m))
+            if target == "SI_MDS":
+                assert len(keep) == {4: 0, 8: 403368}[gf.q]
 
 
 def test_solve_a33_cases(gf8b):
     """On hand-built survivors, by case of `product_det` = slope a33 +
-    const: slope != 0 keeps the one a33 that zeroes it, if non-zero
-    (const != 0); slope = 0 != const keeps none; slope = const = 0 keeps
-    every a33, a case no GF(8) scan survivor reaches.  The kept pairs
-    are those on which the scalar `product_det` vanishes, the solved
-    ones first in survivor order, then the free ones."""
+    const: slope != 0 keeps the one a33 that zeroes it, non-zero since
+    const != 0; slope = 0 != const keeps none, and the solve returns 0
+    there.  const = 0, which the stages before the last rule out, raises
+    InternalMismatchError on any survivor, with slope = 0 or not,
+    rather than drop it."""
     gf = gf8b
+    f = bulk_ops(gf)
     rng = np.random.default_rng(7)
     sample = rng.integers(1, gf.q, size=(300, 8)).tolist()
     terms = [product_det_terms(gf, row) for row in sample]
@@ -324,21 +313,25 @@ def test_solve_a33_cases(gf8b):
     assert all(len(rows) == 6 for rows in cases.values())
     free = [1] * 8                       # m = n = 0: slope = const = 0
     assert product_det_terms(gf, free) == (0, 0)
-    rows = cases[True, True] + [free] + cases[True, False] + cases[False, True]
+    rows = cases[True, True] + cases[False, True]
     old = {k: np.array([row[k] for row in rows], dtype=np.uint8) for k in range(8)}
-    kept = census._solve_a33(bulk_ops(gf), old, {8: nonzero_grid(gf.q, 1)[0]})
-    got = [tuple(int(kept[k][i]) for k in range(9)) for i in range(len(kept[8]))]
-    zeroes = [[tuple(row) + (a33,) for a33 in range(1, gf.q)
-               if product_det(gf, row + [a33]) == 0] for row in rows]
-    assert [len(z) for z in zeroes] == [1] * 6 + [gf.q - 1] + [0] * 12
-    assert got == [z[0] for z in zeroes[:6]] + zeroes[6]
+    got = census._si_a33(f, old).tolist()
+    zeroes = [[a33 for a33 in range(1, gf.q) if product_det(gf, row + [a33]) == 0]
+              for row in rows]
+    assert [len(z) for z in zeroes] == [1] * 6 + [0] * 6
+    assert got == [z[0] for z in zeroes[:6]] + [0] * 6
+    for bad in cases[True, False] + [free]:
+        mixed = rows + [bad]
+        old = {k: np.array([row[k] for row in mixed], dtype=np.uint8) for k in range(8)}
+        with pytest.raises(InternalMismatchError, match="constant term zero"):
+            census._si_a33(f, old)
 
 
 def test_scan_tests_every_mds_minor(gf8, gf8b, monkeypatch):
     """The SI_MDS stages test all nine 2x2 minors and the determinant
     between them, the stages before a33 the five that do not read it;
     at q = 8, on both moduli, the scan counts as with the full
-    `_mds_mask` as its last stage."""
+    `_mds_mask` on the solved a33 as its last stage."""
     calls = {}
     seen_det = []
     minor, det3 = census.minor, census.det3
@@ -361,8 +354,12 @@ def test_scan_tests_every_mds_minor(gf8, gf8b, monkeypatch):
     assert set(calls) == set(itertools.product(pairs, pairs))
     assert {pair for pair, known in calls.items() if False in known} == set(calls) - on_a33
     assert seen_det and all(seen_det)
+    def full_mds_last(f, e):
+        e = {**e, 8: census._si_a33(f, e)}
+        return (e[8] != 0) & _mds_mask(f, e)
+
     stages = census._STAGES["SI_MDS"]
-    monkeypatch.setitem(census._STAGES, "SI_MDS", stages[:-1] + (((), (_mds_mask,)),))
+    monkeypatch.setitem(census._STAGES, "SI_MDS", stages[:-1] + (((), (full_mds_last,)),))
     for gf in (gf8, gf8b):
         assert exhaustive_matrix_census(gf, "SI_MDS") == 403368
 
@@ -411,11 +408,11 @@ def _count_mul_elements(gf, monkeypatch) -> list:
 def test_scan_products_per_candidate(gf8b, monkeypatch):
     """Each stage of the SI_MDS scan crosses its survivors with its new
     entries by broadcasting, so a product that does not read a new entry
-    spans only the survivors; the a33 stage solves `product_det` for a33
-    over the survivors instead of testing it on a grid, and the last
-    stage tests only the minors that read a33 and the determinant.  At
-    q = 8 the scan takes at most 0.40 products per nowhere-zero
-    candidate (0.358)."""
+    spans only the survivors; the last stage solves `product_det` for
+    a33 over the survivors instead of testing it on a grid, and tests
+    only the minors that read a33 and the determinant.  At q = 8 the
+    scan takes at most 0.40 products per nowhere-zero candidate
+    (0.391)."""
     sizes = _count_mul_elements(gf8b, monkeypatch)
     assert exhaustive_matrix_census(gf8b, "SI_MDS") == 403368
     assert sum(sizes) <= 0.40 * 7 ** 9
@@ -497,8 +494,8 @@ def test_pool_size_capped(gf4, monkeypatch, inline_pool, cpus, jobs, want):
     assert exhaustive_matrix_census(gf4, "INV_MDS", jobs=jobs,
                                     progress=seen.append) == 0
     assert inline_pool == [want]
-    # the spans, and so the progress calls, do not depend on the cap
-    assert len(seen) == len(census._ranges(3 ** 5, max(jobs, census._SCAN_SPANS)))
+    # the spans, and so the progress calls, follow the jobs capped at the CPUs
+    assert len(seen) == len(census._ranges(3 ** 5, max(min(jobs, cpus), census._SCAN_SPANS)))
     assert seen[-1] == 1.0
 
 
@@ -510,15 +507,29 @@ def test_scan_progress(gf8b, jobs):
     assert seen == sorted(seen) and seen[-1] == 1.0
 
 
-def test_distinct_diag_inner_identity_gf8(gf8b):
-    """Innermost diagonal count for fixed pairwise-distinct a_ii."""
-    q = 8
-    for a11, a22, a33 in itertools.permutations((1, 2, 3, 5, 7), 3):
-        got = distinct_diag_inner_count(gf8b, a11, a22, a33)
-        if (a11 ^ a22) == a33:
-            assert got == (q - 1) * (q * q - 9 * q + 20)
-        else:
-            assert got == (q - 1) * (q * q - 9 * q + 22)
+def _distinct_diag_inner_by_loops(gf, a11, a22, a33):
+    """Reference: a literal loop over the non-zero (d1, d2, d3)."""
+    count = 0
+    for d1, d2, d3 in itertools.product(gf.elements(True), repeat=3):
+        if len({d1, d2, d3}) == 3 and 0 not in decisive_sums(gf, a11, a22, a33, d1, d2, d3):
+            count += 1
+    return count
+
+
+def test_distinct_diag_inner_identity_gf8(gf4, gf8b):
+    """Innermost diagonal count for fixed pairwise-distinct a_ii: the
+    bulk count equals the literal loop and the closed form, on every
+    triple over GF(4) and on 60 over GF(8)."""
+    for gf, values in ((gf4, (1, 2, 3)), (gf8b, (1, 2, 3, 5, 7))):
+        q = gf.q
+        for a11, a22, a33 in itertools.permutations(values, 3):
+            got = distinct_diag_inner_count(gf, a11, a22, a33)
+            assert got == _distinct_diag_inner_by_loops(gf, a11, a22, a33)
+            assert got == census._distinct_diag_inner_formula(q, a11, a22, a33)
+            if (a11 ^ a22) == a33:
+                assert got == (q - 1) * (q * q - 9 * q + 20)
+            else:
+                assert got == (q - 1) * (q * q - 9 * q + 22)
 
 
 def test_enumerate_gf4_empty(gf4):
@@ -617,6 +628,8 @@ def test_budget_policies(gf16a):
             exhaustive_matrix_census(GF(2, 5, 0b100101), target)
     with pytest.raises(BudgetError):
         sweep_parameter_space(gf16a)
+    with pytest.raises(BudgetError):
+        distinct_diag_inner_count(GF(2, 5, 0b100101), 1, 2, 3)
     with pytest.raises(ValueError):
         exhaustive_matrix_census(gf16a, "MDS")
 

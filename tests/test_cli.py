@@ -153,6 +153,19 @@ def test_count_many_jobs_capped(capsys, inline_pool):
     assert inline_pool == [min(3 ** 6, os.cpu_count() or 1)]
 
 
+def test_count_huge_jobs_bounded(capsys, monkeypatch, inline_pool):
+    """A job count far above the CPUs is capped at them before the work
+    is split, so it costs no more spans than the CPUs ask for: at
+    q = 16 with two CPUs, 10^9 jobs make 8 spans and a pool of 2."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "count", "--m", "4", "--poly", "19", "--set", "S",
+                         "--jobs", "1000000000", "--progress")
+    assert code == 0 and json.loads(out)["match"] is True
+    lines = err.splitlines()
+    assert len(lines) <= 8 and lines[-1] == "progress 100%"
+    assert inline_pool == [2]
+
+
 @pytest.mark.parametrize("command", ["count", "verify-lemmas"])
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_exit_2(capsys, command, jobs):

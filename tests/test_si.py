@@ -180,8 +180,8 @@ def test_product_det_keeps_value_and_sign(gf8, gf16a):
 
 
 def test_product_det_spans_the_a33_axis_once(gf8):
-    """With a33 on an axis of its own, as at the scan's a33 stage, only
-    1 of `product_det`'s 12 products spans the full grid."""
+    """With a33 on an axis of its own, as on a grid of every a33, only 1
+    of `product_det`'s 12 products spans the full grid."""
     f = bulk_ops(gf8)
     shapes = []
 
