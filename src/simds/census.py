@@ -20,22 +20,25 @@ with an independent brute-force verifier at desk scale:
   3x3 matrices and counts the semi-involutory MDS (or involutory MDS)
   ones with no reference to the construction.  It fixes the entries in
   stages (SI_MDS: the six off-diagonal entries, then a11, then a22;
-  INV_MDS: row 0 and column 0, then a22 and a32, then a23)
+  INV_MDS: row 0 and column 0, then a22 and a32, then a23, then none)
   and tests each condition at the first stage where every entry it
   reads is known, and only there, so the candidates a test rejects are
   never expanded.  A stage crosses the values of its new entries, as
   (w, 1) columns, with the survivors, as a (1, r) row, by broadcasting,
   so a product that does not read a new entry is computed once per
-  survivor and numpy's inner loops run along the survivors.  The grid's
-  mask is compacted flat, by `np.flatnonzero`, each kept index
-  splitting by divmod into a (value, survivor) pair.  No stage crosses
-  a33: both conditions that read it first are affine in a33, so the
-  last stage, which adds no entry, solves for the one a33, if any, that
+  survivor and numpy's inner loops run along the survivors.  Every
+  stage but the last compacts its grid's mask flat, by `np.flatnonzero`,
+  each kept index splitting by divmod into a (value, survivor) pair;
+  the last counts its mask instead.  No stage crosses a33: both
+  conditions that read it first are affine in a33, so the last stage
+  solves, at each point of its grid, for the one a33, if any, that
   makes it vanish (SI_MDS: `si.product_det`; INV_MDS: entry (0, 2) of
-  A^2), tests what is left on the flat survivors with that a33, and
-  counts its mask instead of compacting it.  At q = 16, 1.4e8 SI_MDS
-  candidates reach the last stage (5.0e5 at q = 8), and the scan takes
-  seconds;
+  A^2), and tests what is left with that a33.  SI_MDS's last stage
+  adds a22, whose minors keep 71% of the candidates at q = 8 and 87%
+  at q = 16, too many for compacting them to pay; INV_MDS's stages
+  keep at most 14%, so each compacts and its last adds no entry.  At
+  q = 16, 1.6e8 SI_MDS candidates reach the last stage (7.1e5 at
+  q = 8), and the scan takes seconds;
 * the parameter sweep, which checks the construction's MDS, A D A,
   determinant and zero-pattern claims on every 8-tuple (a11, a22, a33,
   d1, d2, d3, x, y): x, y and a block of R 6-tuples lie on three
@@ -249,25 +252,28 @@ def _product_entry(f, a, b, i: int, j: int) -> np.ndarray:
 # live in dicts keyed by entry index, so a test that reads an entry not
 # yet known raises KeyError instead of reading garbage.
 
-def _mds_on_a33(f, e) -> np.ndarray:
+def _mds_on_a33(f, e, m12_01) -> np.ndarray:
     """The determinant and the four 2x2 minors that read a33: the parts
-    of `_mds_mask` that no earlier SI_MDS stage tests.  The determinant
-    expands along row 0 with two of those minors."""
+    of `_mds_mask` that no SI_MDS test before the a33 solve checks.  The
+    determinant expands along row 0 with two of those minors and
+    `m12_01`, minor((1,2),(0,1)), which reads no a33 and is formed once,
+    before the solve."""
     pairs = ((0, 2), (1, 2))
     m = [minor(f, e, rows, cols) for rows in pairs for cols in pairs]
-    return _nonzero(det3(f, e, (minor(f, e, (1, 2), (0, 1)), m[2], m[3])), *m)
+    return _nonzero(det3(f, e, (m12_01, m[2], m[3])), *m)
 
 
-def _si_a33(f, e) -> np.ndarray:
+def _si_a33(f, e, live) -> np.ndarray:
     """The a33 on which `si.product_det` vanishes, given the other eight
     entries, or 0 where none does.  It is slope a33 + const with neither
     term reading a33, so a33 = -const/slope, and slope = 0 leaves none,
     by inv's 0 sentinel.  const = a23 a32 a31^2 minor((0,1),(0,1)), and
-    the stages before the last test each factor non-zero; a zero const,
-    for which every a33 would do, raises InternalMismatchError rather
-    than drop those matrices."""
+    the tests before the solve check each factor non-zero; a zero const
+    where `live` (the mask of those tests) holds, for which every a33
+    would do, raises InternalMismatchError rather than drop those
+    matrices."""
     slope, const = product_det_terms(f, e)
-    if not np.all(const):
+    if np.any(live & (const == 0)):
         raise InternalMismatchError("a scan survivor reached the a33 solve "
                                     "with product_det's constant term zero")
     return f.sub(0, f.mul(const, f.inv(slope)))
@@ -280,10 +286,14 @@ def _inv_a33(f, e) -> np.ndarray:
 
 
 def _si_mds_last(f, e) -> np.ndarray:
-    """SI_MDS's last stage: the solved a33 is non-zero and passes
+    """SI_MDS's last stage, on the grid of a22's values by the a11
+    stage's survivors: the three 2x2 minors that read a22 and not a33
+    are non-zero, and so is the solved a33, which passes
     `_mds_on_a33`."""
-    e = {**e, 8: _si_a33(f, e)}
-    return (e[8] != 0) & _mds_on_a33(f, e)
+    m12_01 = minor(f, e, (1, 2), (0, 1))
+    ok = _nonzero(minor(f, e, (0, 1), (1, 2)), m12_01, minor(f, e, (0, 1), (0, 1)))
+    e = {**e, 8: _si_a33(f, e, ok)}
+    return ok & (e[8] != 0) & _mds_on_a33(f, e, m12_01)
 
 
 def _inv_mds_last(f, e) -> np.ndarray:
@@ -302,25 +312,26 @@ def _inv_mds_last(f, e) -> np.ndarray:
 # known, and only there.  SI_MDS tests both conditions of
 # `si.nowhere_zero_si`: the triangle products once the off-diagonal
 # entries are known, and `product_det` by solving it for a33.  Its a11
-# and a22 stages test the five 2x2 minors that read no a33, so that
-# fewer survivors reach a33 (504,210 at q = 8), and its last stage the
-# other four and the determinant, which includes the non-singularity the
-# entry-level test presumes.  Every INV_MDS candidate meets all nine
-# entries of A^2 = I and `_mds_mask`.  A stage's tests run on the
-# broadcast grid of its new entries' values, as (w, 1) columns, by the
-# survivors, as a (1, r) row, so a product that does not read a new
-# entry spans only the r survivors, and the long axis is innermost.
-# The last stage adds no entry (w = 1): it solves for a33, which no
-# stage crosses, tests the rest, and its mask is counted, not compacted.
+# stage tests the two 2x2 minors that read a11 and no a33, and its last
+# stage, which adds a22, the three that read a22 and no a33, then the
+# other four and the determinant on the solved a33, which includes the
+# non-singularity the entry-level test presumes.  The a22 minors keep
+# most of their grid (504,210 of 705,894 at q = 8), so the solve runs
+# on the whole grid and products that do not read a22 are formed once
+# per a11 survivor.  Every INV_MDS candidate meets all nine entries of
+# A^2 = I and `_mds_mask`; its stages keep few candidates (at most 14%
+# at q = 8), so each compacts them, and its last stage adds no entry
+# (w = 1).  A stage's tests run on the broadcast grid of its new
+# entries' values, as (w, 1) columns, by the survivors, as a (1, r)
+# row, so a product that does not read a new entry spans only the r
+# survivors, and the long axis is innermost.  The last stage's mask is
+# counted, not compacted.
 _STAGES = {
     "SI_MDS": (
         ((1, 2, 3, 5, 6, 7), (triangle_products_agree,)),
         ((0,), (lambda f, e: _nonzero(minor(f, e, (0, 1), (0, 2)),
                                       minor(f, e, (0, 2), (0, 1))),)),
-        ((4,), (lambda f, e: _nonzero(minor(f, e, (0, 1), (1, 2)),
-                                      minor(f, e, (1, 2), (0, 1)),
-                                      minor(f, e, (0, 1), (0, 1))),)),
-        ((), (_si_mds_last,)),
+        ((4,), (_si_mds_last,)),
     ),
     "INV_MDS": (
         ((0, 1, 2, 3, 6), (lambda f, e: _product_entry(f, e, e, 0, 0) == 1,)),
@@ -336,7 +347,8 @@ def _grid_mask(f, tests, old: dict, new: dict) -> np.ndarray:
     either may be empty).  The tests see the values as (w, 1) columns
     and the survivors as a (1, r) row, innermost, so that numpy's inner
     loops run over the r survivors rather than the few new values.  The
-    mask is broadcast, read-only, to the (w, r) grid."""
+    mask is broadcast, read-only, to the (w, r) grid.  A scan's last
+    stage counts this mask; every earlier one compacts it by `_cross`."""
     e = {pos: col[None, :] for pos, col in old.items()}
     e.update((pos, col[:, None]) for pos, col in new.items())
     mask = True
@@ -375,10 +387,12 @@ def _descend(f, q: int, stages, k: int, e: dict) -> int:
     """Count the survivors `e` (flat columns) of stages before k that
     pass stage k and every later stage.  Stage k takes the survivors in
     blocks of at most `_CHUNK` // w, for the w = (q-1)^len(entries)
-    non-zero values of its new entries (w = 1 for the last stage, which
-    adds none), and crosses every value with the block by `_cross`, at
-    most `_CHUNK` pairs, compacting the survivors once, or, as the last
-    stage, which every scan ends with, counts its `_grid_mask`."""
+    non-zero values of its new entries (w = 1 for a stage that adds
+    none, as INV_MDS's last), and crosses every value with the block,
+    at most `_CHUNK` pairs: by `_cross`, compacting the survivors once,
+    or, as the last stage, which every scan ends with, by `_grid_mask`,
+    whose mask it counts (SI_MDS's last stage adds a22 and solves a33
+    on that grid)."""
     n = len(next(iter(e.values())))
     entries, tests = stages[k]
     grid = dict(zip(entries, nonzero_grid(q, len(entries))))

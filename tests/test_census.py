@@ -13,6 +13,7 @@ from simds._tables import _digits, bulk_ops, mul_table, nonzero_grid
 from simds.census import (CSV_HEADER, SET_NAMES, _mds_mask, _nonzero,
                           _pack_keys, _unpack_keys)
 from simds.construct import construction_entries, decisive_sums
+from simds.matrix import minor
 from simds.si import oracle_hits, product_det, product_det_terms, si_check_3x3
 
 
@@ -137,22 +138,24 @@ def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
 
 
 @pytest.mark.parametrize("q, target, want", [
-    (8, "SI_MDS", [[117649, 16807], [117649, 100842], [705894, 504210],
-                   [504210, 403368]]),
+    (8, "SI_MDS", [[117649, 16807], [117649, 100842], [705894, 504210, 403368]]),
     (8, "INV_MDS", [[16807, 2107], [103243, 12642], [88494, 12642],
                     [12642, 1176]]),
     (16, "INV_MDS", [[759375, 47475], [10681875, 664650], [9969750, 664650],
                      [664650, 37800]]),
     (16, "SI_MDS", [[11390625, 759375], [11390625, 10631250],
-                    [159468750, 138206250], [138206250, 127575000]]),
+                    [159468750, 138206250, 127575000]]),
 ])
 def test_scan_survivor_counts(gf8, gf8b, gf16a, q, target, want):
     """Per stage of the exhaustive scan, the candidates it sees and,
     after each of its tests, those that pass it and the stage's earlier
-    ones, counted over the broadcast shape of the stage's blocks; the
-    last stage sees each survivor once and keeps those whose solved a33
-    passes: facts of the field, pinned here.  The two GF(8) moduli give
-    isomorphic fields, and so the same counts."""
+    ones, counted over the broadcast shape of the stage's blocks.
+    INV_MDS's last stage sees each survivor once; SI_MDS's sees each
+    a11 survivor with every a22, and its count after the three a22
+    minors is that of the candidates its a33 solve is live on.  The
+    last count of each is of those whose solved a33 passes: facts of
+    the field, pinned here.  The two GF(8) moduli give isomorphic
+    fields, and so the same counts."""
     for gf in {8: (gf8b, gf8), 16: (gf16a,)}[q]:
         assert _scan_survivor_counts(gf, target) == want
 
@@ -160,6 +163,12 @@ def test_scan_survivor_counts(gf8, gf8b, gf16a, q, target, want):
 def _scan_survivor_counts(gf, target):
     stages = census._STAGES[target]
     counts = [[0] * (len(tests) + 1) for _, tests in stages]
+    live = []
+    si_a33 = census._si_a33
+
+    def counted_si_a33(f, e, mask):
+        live.append(np.count_nonzero(mask))
+        return si_a33(f, e, mask)
 
     def counting(k, tests):
         def test(f, e):
@@ -175,7 +184,10 @@ def _scan_survivor_counts(gf, target):
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(census._STAGES, target, tuple(
             (entries, counting(k, tests)) for k, (entries, tests) in enumerate(stages)))
+        patch.setattr(census, "_si_a33", counted_si_a33)
         assert exhaustive_matrix_census(gf, target) == formula_count(target, gf.m)
+    if live:
+        counts[-1].insert(1, sum(live))
     return counts
 
 
@@ -183,8 +195,9 @@ def _scan_survivor_counts(gf, target):
 def test_scan_puts_survivors_innermost(gf8b, monkeypatch, target):
     """After the first stage, every test of the scan sees each survivor
     column as a (1, r) row and each new entry's values as a (w, 1)
-    column, so numpy's inner loops run along the survivors; the last
-    stage, which adds no entry, sees the survivors alone."""
+    column, so numpy's inner loops run along the survivors; SI_MDS's
+    last stage adds a22 as such a column, and INV_MDS's, which adds no
+    entry, sees the survivors alone."""
     stages = census._STAGES[target]
     seen = [0] * len(stages)
 
@@ -257,13 +270,22 @@ def test_cross_keeps_pairs_and_order(gf8b, old, new, fill):
             assert len(got[new[0]]) == (w * r if fill else 0)
 
 
+_A22_MINORS = (((0, 1), (1, 2)), ((1, 2), (0, 1)), ((0, 1), (0, 1)))
+
+
 def _survivors(gf, target):
-    """The flat survivors of a target's stages before the last, crossed
-    in one block each."""
+    """The flat candidates a target's a33 solve is live on: the
+    survivors of its stages before the last, crossed in one block each,
+    and for SI_MDS, whose last stage adds a22, crossed with the a22
+    values that pass the three 2x2 minors reading a22 and not a33."""
     f = bulk_ops(gf)
     e = {}
-    for entries, tests in census._STAGES[target][:-1]:
+    stages = census._STAGES[target]
+    for entries, tests in stages[:-1]:
         e = census._cross(f, tests, e, dict(zip(entries, nonzero_grid(gf.q, len(entries)))))
+    if target == "SI_MDS":
+        a22_minors = lambda f, e: _nonzero(*(minor(f, e, *p) for p in _A22_MINORS))
+        e = census._cross(f, (a22_minors,), e, {4: nonzero_grid(gf.q, 1)[0]})
     return f, e
 
 
@@ -277,7 +299,8 @@ def test_solved_a33_stage_matches_grid(gf4, gf8, gf8b):
     `product_det` = 0; INV_MDS: entry (0, 2) of A^2 = 0) on the literal
     grid of every a33 keeps."""
     conditions = {
-        "SI_MDS": (census._si_a33, lambda f, e: product_det(f, e) == 0),
+        "SI_MDS": (lambda f, e: census._si_a33(f, e, True),
+                   lambda f, e: product_det(f, e) == 0),
         "INV_MDS": (census._inv_a33,
                     lambda f, e: census._product_entry(f, e, e, 0, 2) == 0),
     }
@@ -299,9 +322,10 @@ def test_solve_a33_cases(gf8b):
     """On hand-built survivors, by case of `product_det` = slope a33 +
     const: slope != 0 keeps the one a33 that zeroes it, non-zero since
     const != 0; slope = 0 != const keeps none, and the solve returns 0
-    there.  const = 0, which the stages before the last rule out, raises
-    InternalMismatchError on any survivor, with slope = 0 or not,
-    rather than drop it."""
+    there.  const = 0, which the tests before the solve rule out, raises
+    InternalMismatchError on any candidate the solve is live on, with
+    slope = 0 or not, rather than drop it, and passes where the solve
+    is not live."""
     gf = gf8b
     f = bulk_ops(gf)
     rng = np.random.default_rng(7)
@@ -315,7 +339,8 @@ def test_solve_a33_cases(gf8b):
     assert product_det_terms(gf, free) == (0, 0)
     rows = cases[True, True] + cases[False, True]
     old = {k: np.array([row[k] for row in rows], dtype=np.uint8) for k in range(8)}
-    got = census._si_a33(f, old).tolist()
+    live = np.ones(len(rows), dtype=bool)
+    got = census._si_a33(f, old, live).tolist()
     zeroes = [[a33 for a33 in range(1, gf.q) if product_det(gf, row + [a33]) == 0]
               for row in rows]
     assert [len(z) for z in zeroes] == [1] * 6 + [0] * 6
@@ -324,20 +349,24 @@ def test_solve_a33_cases(gf8b):
         mixed = rows + [bad]
         old = {k: np.array([row[k] for row in mixed], dtype=np.uint8) for k in range(8)}
         with pytest.raises(InternalMismatchError, match="constant term zero"):
-            census._si_a33(f, old)
+            census._si_a33(f, old, np.ones(len(mixed), dtype=bool))
+        dead = np.arange(len(mixed)) < len(rows)
+        assert census._si_a33(f, old, dead).tolist()[:len(rows)] == got
 
 
 def test_scan_tests_every_mds_minor(gf8, gf8b, monkeypatch):
     """The SI_MDS stages test all nine 2x2 minors and the determinant
-    between them, the stages before a33 the five that do not read it;
-    at q = 8, on both moduli, the scan counts as with the full
-    `_mds_mask` on the solved a33 as its last stage."""
+    between them, the tests before the a33 solve the five that do not
+    read a33, and none is formed both before and after the solve: the
+    determinant takes minor((1,2),(0,1)) from the a22 minors.  At
+    q = 8, on both moduli, the scan counts as with the full `_mds_mask`
+    on the solved a33 in its last stage."""
     calls = {}
     seen_det = []
-    minor, det3 = census.minor, census.det3
+    det3 = census.det3
 
     def spied_minor(f, e, rows, cols):
-        # whether a33 is known tells the last stage from the earlier ones
+        # whether a33 is known tells the minors after the solve
         calls.setdefault((tuple(rows), tuple(cols)), set()).add(8 in e)
         return minor(f, e, rows, cols)
 
@@ -352,16 +381,36 @@ def test_scan_tests_every_mds_minor(gf8, gf8b, monkeypatch):
     pairs = list(itertools.combinations(range(3), 2))
     on_a33 = set(itertools.product(((0, 2), (1, 2)), repeat=2))
     assert set(calls) == set(itertools.product(pairs, pairs))
-    assert {pair for pair, known in calls.items() if False in known} == set(calls) - on_a33
+    assert {pair for pair, known in calls.items() if known == {True}} == on_a33
+    assert all(len(known) == 1 for known in calls.values())
     assert seen_det and all(seen_det)
+
     def full_mds_last(f, e):
-        e = {**e, 8: census._si_a33(f, e)}
-        return (e[8] != 0) & _mds_mask(f, e)
+        # const = a23 a32 a31^2 minor((0,1),(0,1)): non-zero where live
+        live = minor(f, e, (0, 1), (0, 1)) != 0
+        e = {**e, 8: census._si_a33(f, e, live)}
+        return live & (e[8] != 0) & _mds_mask(f, e)
 
     stages = census._STAGES["SI_MDS"]
-    monkeypatch.setitem(census._STAGES, "SI_MDS", stages[:-1] + (((), (full_mds_last,)),))
+    monkeypatch.setitem(census._STAGES, "SI_MDS",
+                        stages[:-1] + ((stages[-1][0], (full_mds_last,)),))
     for gf in (gf8, gf8b):
         assert exhaustive_matrix_census(gf, "SI_MDS") == 403368
+
+
+def test_scan_raises_on_zero_constant(gf8b, monkeypatch):
+    """const = a23 a32 a31^2 minor((0,1),(0,1)) in `product_det` = slope
+    a33 + const, and every a33 zeroes it where const = slope = 0.  With
+    the test of that leading minor blinded, candidates with const = 0
+    reach the a33 solve, and the scan raises InternalMismatchError
+    instead of dropping them."""
+    def blinded(f, e, rows, cols):
+        m = minor(f, e, rows, cols)
+        return np.ones_like(m) if (tuple(rows), tuple(cols)) == ((0, 1), (0, 1)) else m
+
+    monkeypatch.setattr(census, "minor", blinded)
+    with pytest.raises(InternalMismatchError, match="constant term zero"):
+        exhaustive_matrix_census(gf8b, "SI_MDS")
 
 
 def _digits_by_divmod(start, stop, ndigits, base):
@@ -408,14 +457,15 @@ def _count_mul_elements(gf, monkeypatch) -> list:
 def test_scan_products_per_candidate(gf8b, monkeypatch):
     """Each stage of the SI_MDS scan crosses its survivors with its new
     entries by broadcasting, so a product that does not read a new entry
-    spans only the survivors; the last stage solves `product_det` for
-    a33 over the survivors instead of testing it on a grid, and tests
-    only the minors that read a33 and the determinant.  At q = 8 the
-    scan takes at most 0.40 products per nowhere-zero candidate
-    (0.391)."""
+    spans only the survivors; the last stage adds a22 and solves
+    `product_det` for a33 on that grid instead of crossing a33, so a
+    product that reads no a22 spans only the a11 survivors, and it
+    tests only the minors that read a22 or a33 and the determinant,
+    forming each minor once.  At q = 8 the scan takes at most 0.37
+    products per nowhere-zero candidate (0.361)."""
     sizes = _count_mul_elements(gf8b, monkeypatch)
     assert exhaustive_matrix_census(gf8b, "SI_MDS") == 403368
-    assert sum(sizes) <= 0.40 * 7 ** 9
+    assert sum(sizes) <= 0.37 * 7 ** 9
 
 
 def _inv_mds_by_flat_scan(gf):
