@@ -312,17 +312,17 @@ def _inv_mds_last(f, e) -> np.ndarray:
 # known, and only there.  SI_MDS tests both conditions of
 # `si.nowhere_zero_si`: the triangle products once the off-diagonal
 # entries are known, and `product_det` by solving it for a33.  Its a11
-# stage tests the two 2x2 minors that read a11 and no a33, and its last
-# stage, which adds a22, the three that read a22 and no a33, then the
-# other four and the determinant on the solved a33, which includes the
-# non-singularity the entry-level test presumes.  The a22 minors keep
-# most of their grid (504,210 of 705,894 at q = 8), so the solve runs
-# on the whole grid and products that do not read a22 are formed once
-# per a11 survivor.  Every INV_MDS candidate meets all nine entries of
-# A^2 = I and `_mds_mask`; its stages keep few candidates (at most 14%
-# at q = 8), so each compacts them, and its last stage adds no entry
-# (w = 1).  A stage's tests run on the broadcast grid of its new
-# entries' values, as (w, 1) columns, by the survivors, as a (1, r)
+# stage tests the two 2x2 minors that read a11 but neither a22 nor a33,
+# and its last stage, which adds a22, the three that read a22 and no
+# a33, then the other four and the determinant on the solved a33, which
+# includes the non-singularity the entry-level test presumes.  The a22
+# minors keep most of their grid (504,210 of 705,894 at q = 8), so the
+# solve runs on the whole grid and products that do not read a22 are
+# formed once per a11 survivor.  Every INV_MDS candidate meets all nine
+# entries of A^2 = I and `_mds_mask`; its stages keep few candidates
+# (at most 14% at q = 8), so each compacts them, and its last stage adds
+# no entry (w = 1).  A stage's tests run on the broadcast grid of its
+# new entries' values, as (w, 1) columns, by the survivors, as a (1, r)
 # row, so a product that does not read a new entry spans only the r
 # survivors, and the long axis is innermost.  The last stage's mask is
 # counted, not compacted.
