@@ -20,25 +20,23 @@ with an independent brute-force verifier at desk scale:
   3x3 matrices and counts the semi-involutory MDS (or involutory MDS)
   ones with no reference to the construction.  It fixes the entries in
   stages (SI_MDS: the six off-diagonal entries, then a11, then a22;
-  INV_MDS: row 0 and column 0, then a22 and a32, then a23, then none)
-  and tests each condition at the first stage where every entry it
-  reads is known, and only there, so the candidates a test rejects are
-  never expanded.  A stage crosses the values of its new entries, as
-  (w, 1) columns, with the survivors, as a (1, r) row, by broadcasting,
-  so a product that does not read a new entry is computed once per
-  survivor and numpy's inner loops run along the survivors.  Every
-  stage but the last compacts its grid's mask flat, by `np.flatnonzero`,
-  each kept index splitting by divmod into a (value, survivor) pair;
-  the last counts its mask instead.  No stage crosses a33: both
-  conditions that read it first are affine in a33, so the last stage
-  solves, at each point of its grid, for the one a33, if any, that
-  makes it vanish (SI_MDS: `si.product_det`; INV_MDS: entry (0, 2) of
-  A^2), and tests what is left with that a33.  SI_MDS's last stage
-  adds a22, whose minors keep 71% of the candidates at q = 8 and 87%
-  at q = 16, too many for compacting them to pay; INV_MDS's stages
-  keep at most 14%, so each compacts and its last adds no entry.  At
-  q = 16, 1.6e8 SI_MDS candidates reach the last stage (7.1e5 at
-  q = 8), and the scan takes seconds;
+  INV_MDS: row 0 and a21, then a22) and tests each condition at the
+  first stage where every entry it reads is known, and only there, so
+  the candidates a test rejects are never expanded.  A stage crosses
+  the values of its new entries, as (w, 1) columns, with the
+  survivors, as a (1, r) row, by broadcasting, so a product that does
+  not read a new entry is computed once per survivor and numpy's inner
+  loops run along the survivors.  Every stage but the last compacts
+  its grid's mask flat, by `np.flatnonzero`, each kept index splitting
+  by divmod into a (value, survivor) pair; the last counts its mask
+  instead.  No stage crosses the entries left, each read affinely by a
+  condition: the last stage solves, at each point of its grid, for the
+  one value, if any, that meets it (SI_MDS: a33 from `si.product_det`;
+  INV_MDS: a31, a32, a23 and a33 from four cells of A^2 = I), and
+  tests the rest with those values.  SI_MDS's a22 minors keep 71% of
+  their candidates at q = 8 and 87% at q = 16, too many for compacting
+  them to pay.  At q = 16, 1.6e8 SI_MDS candidates reach the last
+  stage (7.1e5 at q = 8), and the scan takes seconds;
 * the parameter sweep, which checks the construction's MDS, A D A,
   determinant and zero-pattern claims on every 8-tuple (a11, a22, a33,
   d1, d2, d3, x, y): x, y and a block of R 6-tuples lie on three
@@ -263,6 +261,11 @@ def _mds_on_a33(f, e, m12_01) -> np.ndarray:
     return _nonzero(det3(f, e, (m12_01, m[2], m[3])), *m)
 
 
+def _solved(f, want, rest, coeff) -> np.ndarray:
+    """(want - rest) / coeff, or 0 where coeff = 0 (inv's 0 sentinel)."""
+    return f.mul(f.sub(want, rest), f.inv(coeff))
+
+
 def _si_a33(f, e, live) -> np.ndarray:
     """The a33 on which `si.product_det` vanishes, given the other eight
     entries, or 0 where none does.  It is slope a33 + const with neither
@@ -276,13 +279,7 @@ def _si_a33(f, e, live) -> np.ndarray:
     if np.any(live & (const == 0)):
         raise InternalMismatchError("a scan survivor reached the a33 solve "
                                     "with product_det's constant term zero")
-    return f.sub(0, f.mul(const, f.inv(slope)))
-
-
-def _inv_a33(f, e) -> np.ndarray:
-    """The a33 on which entry (0, 2) of A^2, a11 a13 + a12 a23 + a13 a33,
-    vanishes, given the other eight entries; a13 != 0."""
-    return f.sub(0, f.mul(f.mul(e[0], e[2]) ^ f.mul(e[1], e[5]), f.inv(e[2])))
+    return _solved(f, 0, const, slope)
 
 
 def _si_mds_last(f, e) -> np.ndarray:
@@ -296,12 +293,21 @@ def _si_mds_last(f, e) -> np.ndarray:
     return ok & (e[8] != 0) & _mds_on_a33(f, e, m12_01)
 
 
+_INV_SOLVES = ((6, (0, 0), 2), (7, (0, 1), 2), (5, (1, 0), 6), (8, (0, 2), 2))
+
+
 def _inv_mds_last(f, e) -> np.ndarray:
-    """INV_MDS's last stage: the solved a33 is non-zero, the five
-    entries of A^2 = I that neither an earlier stage nor the solve
-    meets hold, and so does `_mds_mask`."""
-    e = {**e, 8: _inv_a33(f, e)}
-    ok = (e[8] != 0) & _mds_mask(f, e)
+    """INV_MDS's last stage.  For each (entry, cell of A^2 = I, entry
+    that is its coefficient there) of `_INV_SOLVES`, in turn, the cell
+    is affine in the entry, which is solved as (want - rest) / coeff,
+    rest being the cell with the entry 0, and must be non-zero (a zero
+    a31 makes a23 0).  The other five cells hold, and so does
+    `_mds_mask`."""
+    for pos, (i, j), coeff in _INV_SOLVES:
+        without = {**e, pos: 0}
+        rest = _product_entry(f, without, without, i, j)
+        e = {**e, pos: _solved(f, int(i == j), rest, e[coeff])}
+    ok = _nonzero(e[5], e[6], e[7], e[8]) & _mds_mask(f, e)
     for i, j in ((1, 1), (1, 2), (2, 0), (2, 1), (2, 2)):
         ok &= _product_entry(f, e, e, i, j) == int(i == j)
     return ok
@@ -318,14 +324,10 @@ def _inv_mds_last(f, e) -> np.ndarray:
 # includes the non-singularity the entry-level test presumes.  The a22
 # minors keep most of their grid (504,210 of 705,894 at q = 8), so the
 # solve runs on the whole grid and products that do not read a22 are
-# formed once per a11 survivor.  Every INV_MDS candidate meets all nine
-# entries of A^2 = I and `_mds_mask`; its stages keep few candidates
-# (at most 14% at q = 8), so each compacts them, and its last stage adds
-# no entry (w = 1).  A stage's tests run on the broadcast grid of its
-# new entries' values, as (w, 1) columns, by the survivors, as a (1, r)
-# row, so a product that does not read a new entry spans only the r
-# survivors, and the long axis is innermost.  The last stage's mask is
-# counted, not compacted.
+# formed once per a11 survivor.  INV_MDS tests nothing until its last
+# stage adds a22 and solves a31, a32, a23 and a33 from A^2 = I.  A
+# stage's tests see `_grid_mask`'s grid, the survivors innermost; the
+# last stage's mask is counted, not compacted.
 _STAGES = {
     "SI_MDS": (
         ((1, 2, 3, 5, 6, 7), (triangle_products_agree,)),
@@ -334,10 +336,8 @@ _STAGES = {
         ((4,), (_si_mds_last,)),
     ),
     "INV_MDS": (
-        ((0, 1, 2, 3, 6), (lambda f, e: _product_entry(f, e, e, 0, 0) == 1,)),
-        ((4, 7), (lambda f, e: _product_entry(f, e, e, 0, 1) == 0,)),
-        ((5,), (lambda f, e: _product_entry(f, e, e, 1, 0) == 0,)),
-        ((), (_inv_mds_last,)),
+        ((0, 1, 2, 3), ()),
+        ((4,), (_inv_mds_last,)),
     ),
 }
 
@@ -387,12 +387,11 @@ def _descend(f, q: int, stages, k: int, e: dict) -> int:
     """Count the survivors `e` (flat columns) of stages before k that
     pass stage k and every later stage.  Stage k takes the survivors in
     blocks of at most `_CHUNK` // w, for the w = (q-1)^len(entries)
-    non-zero values of its new entries (w = 1 for a stage that adds
-    none, as INV_MDS's last), and crosses every value with the block,
-    at most `_CHUNK` pairs: by `_cross`, compacting the survivors once,
-    or, as the last stage, which every scan ends with, by `_grid_mask`,
-    whose mask it counts (SI_MDS's last stage adds a22 and solves a33
-    on that grid)."""
+    non-zero values of its new entries, and crosses every value with the
+    block, at most `_CHUNK` pairs: by `_cross`, compacting the survivors
+    once, or, as the last stage, by `_grid_mask`, whose mask it counts
+    (both scans' last stages add a22 and solve their other entries on
+    that grid)."""
     n = len(next(iter(e.values())))
     entries, tests = stages[k]
     grid = dict(zip(entries, nonzero_grid(q, len(entries))))

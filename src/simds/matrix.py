@@ -20,7 +20,7 @@ and memory at any n and q.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import BudgetError
 from .field import GF, json_ints
@@ -149,20 +149,20 @@ class Matrix:
 
     def is_reducible(self) -> bool:
         """True iff some P A P^T is block upper triangular with a zero
-        lower-left block, over all permutations and split points."""
-        n = self.n
-        if n == 1:
+        lower-left block: iff the graph with an edge i -> j for each
+        non-zero a_ij is not strongly connected, that is, some index is
+        unreachable from 0 along A's rows or along its columns."""
+        if self.n == 1:
             raise ValueError("reducibility needs n >= 2")
-        if n > 4:
-            raise BudgetError("reducibility test enumerates n! permutations; n > 4 rejected")
-        zeros = sum(row.count(0) for row in self.rows)
-        if zeros < n - 1:
-            return False
-        for perm in permutations(range(n)):
-            for k in range(1, n):
-                if all(self.rows[perm[i]][perm[j]] == 0
-                       for i in range(k, n) for j in range(k)):
-                    return True
+        for rows in (self.rows, tuple(zip(*self.rows))):
+            reached, todo = {0}, [0]
+            while todo:
+                row = rows[todo.pop()]
+                new = {j for j, v in enumerate(row) if v} - reached
+                reached |= new
+                todo += new
+            if len(reached) < self.n:
+                return True
         return False
 
     def to_dict(self) -> dict:

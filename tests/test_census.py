@@ -111,9 +111,11 @@ def test_jobs_below_one_rejected(gf4, run, jobs):
 @pytest.mark.parametrize("target", ["SI_MDS", "INV_MDS"])
 def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
     """With tests that keep every candidate, a target's stages reach
-    each of the 3^8 choices of the entries other than a33, all
-    non-zero, over GF(4) exactly once, in broadcast blocks of at most
-    _CHUNK candidates; a33 is left to the last stage to solve for."""
+    each choice of the entries they cross, all non-zero, over GF(4)
+    exactly once, in broadcast blocks of at most _CHUNK candidates:
+    3^8 for SI_MDS and 3^5 for INV_MDS.  The entries the last stage
+    solves for (SI_MDS: a33; INV_MDS: a31, a32, a23 and a33) are absent
+    there."""
     monkeypatch.setattr(census, "_CHUNK", 100)
     sizes, keys = [], []
 
@@ -122,41 +124,44 @@ def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
         sizes.append(mask.size)
         return mask
 
+    stages = [(entries, (keep_all,)) for entries, _ in census._STAGES[target]]
+    crossed = sorted(pos for entries, _ in stages for pos in entries)
+    assert set(range(9)) - set(crossed) == {"SI_MDS": {8}, "INV_MDS": {5, 6, 7, 8}}[target]
+
     def record(f, e):
-        assert 8 not in e
-        cols = [e[k] for k in range(8)]
+        assert sorted(e) == crossed
+        cols = [e[k] for k in crossed]
         assert all((col != 0).all() for col in cols)
         keys.append(_pack_keys(cols, gf4.m).ravel())
         return keep_all(f, e)
 
-    stages = [(entries, (keep_all,)) for entries, _ in census._STAGES[target]]
     stages[-1] = (stages[-1][0], (record,))
     first = (gf4.q - 1) ** len(stages[0][0])
     visited = census._staged_count(bulk_ops(gf4), gf4.q, stages, 0, first)
-    assert visited == len(np.unique(np.concatenate(keys))) == 3 ** 8
+    assert visited == len(np.unique(np.concatenate(keys))) == 3 ** len(crossed)
     assert max(sizes) <= 100
 
 
 @pytest.mark.parametrize("q, target, want", [
     (8, "SI_MDS", [[117649, 16807], [117649, 100842], [705894, 504210, 403368]]),
-    (8, "INV_MDS", [[16807, 2107], [103243, 12642], [88494, 12642],
-                    [12642, 1176]]),
-    (16, "INV_MDS", [[759375, 47475], [10681875, 664650], [9969750, 664650],
-                     [664650, 37800]]),
+    (8, "INV_MDS", [[2401], [16807, 1176]]),
+    (16, "INV_MDS", [[50625], [759375, 37800]]),
     (16, "SI_MDS", [[11390625, 759375], [11390625, 10631250],
                     [159468750, 138206250, 127575000]]),
 ])
-def test_scan_survivor_counts(gf8, gf8b, gf16a, q, target, want):
+def test_scan_survivor_counts(gf8, gf8b, gf16a, gf16b, q, target, want):
     """Per stage of the exhaustive scan, the candidates it sees and,
     after each of its tests, those that pass it and the stage's earlier
-    ones, counted over the broadcast shape of the stage's blocks.
-    INV_MDS's last stage sees each survivor once; SI_MDS's sees each
-    a11 survivor with every a22, and its count after the three a22
-    minors is that of the candidates its a33 solve is live on.  The
-    last count of each is of those whose solved a33 passes: facts of
-    the field, pinned here.  The two GF(8) moduli give isomorphic
-    fields, and so the same counts."""
-    for gf in {8: (gf8b, gf8), 16: (gf16a,)}[q]:
+    ones, counted over the broadcast shape of the stage's blocks.  Each
+    last stage sees each survivor of the stages before it with every
+    a22.  INV_MDS's first stage tests nothing; SI_MDS's count after the
+    three a22 minors is that of the candidates its a33 solve is live
+    on.  The last count of each is of those whose solved entries pass:
+    facts of the field, pinned here.  The two moduli of each degree
+    give isomorphic fields, and so the same counts; the SI_MDS scan
+    takes seconds at q = 16, so it runs on one of them."""
+    fields = {8: (gf8b, gf8), 16: (gf16a, gf16b) if target == "INV_MDS" else (gf16a,)}
+    for gf in fields[q]:
         assert _scan_survivor_counts(gf, target) == want
 
 
@@ -195,9 +200,8 @@ def _scan_survivor_counts(gf, target):
 def test_scan_puts_survivors_innermost(gf8b, monkeypatch, target):
     """After the first stage, every test of the scan sees each survivor
     column as a (1, r) row and each new entry's values as a (w, 1)
-    column, so numpy's inner loops run along the survivors; SI_MDS's
-    last stage adds a22 as such a column, and INV_MDS's, which adds no
-    entry, sees the survivors alone."""
+    column, so numpy's inner loops run along the survivors; both last
+    stages add a22 as such a column."""
     stages = census._STAGES[target]
     seen = [0] * len(stages)
 
@@ -241,7 +245,7 @@ def _cross_by_nonzero(f, tests, old, new):
     ((1, 2, 3, 5), (0, 4), False),
     ((1, 2, 3, 5), (0, 4), True),
     ((), (1, 2, 3), None),               # a first stage: no survivors yet
-    (tuple(range(9)), (), None),         # no new entries (w = 1), as for `_mds_mask`
+    (tuple(range(9)), (), None),         # no new entries (w = 1)
 ])
 def test_cross_keeps_pairs_and_order(gf8b, old, new, fill):
     """`_cross` keeps the same (value, survivor) pairs, in the same order,
@@ -274,48 +278,67 @@ _A22_MINORS = (((0, 1), (1, 2)), ((1, 2), (0, 1)), ((0, 1), (0, 1)))
 
 
 def _survivors(gf, target):
-    """The flat candidates a target's a33 solve is live on: the
+    """The flat candidates a target's first solve is live on: the
     survivors of its stages before the last, crossed in one block each,
-    and for SI_MDS, whose last stage adds a22, crossed with the a22
-    values that pass the three 2x2 minors reading a22 and not a33."""
+    crossed with the a22 values of its last stage; for SI_MDS only with
+    those that pass the three 2x2 minors reading a22 and not a33."""
     f = bulk_ops(gf)
     e = {}
     stages = census._STAGES[target]
     for entries, tests in stages[:-1]:
         e = census._cross(f, tests, e, dict(zip(entries, nonzero_grid(gf.q, len(entries)))))
-    if target == "SI_MDS":
-        a22_minors = lambda f, e: _nonzero(*(minor(f, e, *p) for p in _A22_MINORS))
-        e = census._cross(f, (a22_minors,), e, {4: nonzero_grid(gf.q, 1)[0]})
-    return f, e
+    a22_minors = lambda f, e: _nonzero(*(minor(f, e, *p) for p in _A22_MINORS))
+    tests = (a22_minors,) if target == "SI_MDS" else ()
+    return f, census._cross(f, tests, e, {4: nonzero_grid(gf.q, 1)[0]})
 
 
 def _sorted_keys(e, m):
-    return np.sort(_pack_keys([e[k] for k in range(9)], m))
+    return np.sort(_pack_keys([e[k] for k in sorted(e)], m))
 
 
-def test_solved_a33_stage_matches_grid(gf4, gf8, gf8b):
-    """For both targets, the a33 the last stage solves for keeps exactly
-    the (survivor, a33) pairs that testing its condition (SI_MDS:
-    `product_det` = 0; INV_MDS: entry (0, 2) of A^2 = 0) on the literal
-    grid of every a33 keeps."""
-    conditions = {
-        "SI_MDS": (lambda f, e: census._si_a33(f, e, True),
-                   lambda f, e: product_det(f, e) == 0),
-        "INV_MDS": (census._inv_a33,
-                    lambda f, e: census._product_entry(f, e, e, 0, 2) == 0),
-    }
-    for target, (solve, condition) in conditions.items():
-        for gf in (gf4, gf8, gf8b):
-            f, e = _survivors(gf, target)
-            a33 = solve(f, e)
-            keep = np.flatnonzero(a33)
-            solved = {pos: col[keep] for pos, col in e.items()}
-            solved[8] = a33[keep]
-            literal = census._cross(f, (condition,), e, {8: nonzero_grid(gf.q, 1)[0]})
-            assert set(literal) == set(range(9))
-            assert np.array_equal(_sorted_keys(solved, gf.m), _sorted_keys(literal, gf.m))
-            if target == "SI_MDS":
-                assert len(keep) == {4: 0, 8: 403368}[gf.q]
+def _solve_matches_grid(f, gf, e, pos, value, condition):
+    """The (candidate, entry `pos`) pairs that the solved `value` keeps,
+    where it is non-zero, are those that testing `condition` on the
+    grid of every non-zero value of the entry keeps; returns how many."""
+    keep = np.flatnonzero(value)
+    solved = {p: col[keep] for p, col in e.items()}
+    solved[pos] = value[keep]
+    literal = census._cross(f, (condition,), e, {pos: nonzero_grid(gf.q, 1)[0]})
+    assert set(literal) == set(solved)
+    assert np.array_equal(_sorted_keys(solved, gf.m), _sorted_keys(literal, gf.m))
+    return len(keep)
+
+
+def test_solved_a33_stage_matches_grid(gf4, gf8, gf8b, monkeypatch):
+    """Each entry a last stage solves for keeps exactly the pairs of a
+    candidate and a non-zero value that testing its condition on the
+    literal grid of every value keeps: SI_MDS's a33, `product_det` = 0,
+    and each of INV_MDS's, in the stage's order, its cell of A^2 = I,
+    on the candidates whose entries solved before it are non-zero."""
+    solve = census._solved
+    values = []
+
+    def spied(*args):
+        values.append(solve(*args))
+        return values[-1]
+
+    monkeypatch.setattr(census, "_solved", spied)
+    for gf in (gf4, gf8, gf8b):
+        f, e = _survivors(gf, "SI_MDS")
+        a33 = census._si_a33(f, e, True)
+        kept = _solve_matches_grid(f, gf, e, 8, a33, lambda f, e: product_det(f, e) == 0)
+        assert kept == {4: 0, 8: 403368}[gf.q]
+        f, e = _survivors(gf, "INV_MDS")
+        values.clear()
+        census._inv_mds_last(f, e)
+        assert len(values) == len(census._INV_SOLVES) == 4
+        live = np.ones(len(e[0]), dtype=bool)
+        for (pos, (i, j), _), value in zip(census._INV_SOLVES, values):
+            cell = lambda f, e, i=i, j=j: census._product_entry(f, e, e, i, j) == int(i == j)
+            _solve_matches_grid(f, gf, {p: col[live] for p, col in e.items()}, pos,
+                                value[live], cell)
+            e[pos] = value
+            live &= value != 0
 
 
 def test_solve_a33_cases(gf8b):
@@ -533,10 +556,14 @@ def test_scan_shares_the_nowhere_zero_condition(monkeypatch, gf8):
         exhaustive_matrix_census(gf8, "SI_MDS")
 
 
+# GF(4)'s INV_MDS scan spans its first stage's 3^len(entries) rows
+_INV_ROWS_GF4 = 3 ** len(census._STAGES["INV_MDS"][0][0])
+
+
 @pytest.mark.parametrize("cpus, jobs, want", [
     (2, 100000, 2),     # capped at the CPUs
     (4, 3, 3),          # at the jobs asked for
-    (1000, 100000, 243),  # at the spans: (q-1)^5 first-stage rows
+    (1000, 100000, _INV_ROWS_GF4),  # at the spans: the first-stage rows
 ])
 def test_pool_size_capped(gf4, monkeypatch, inline_pool, cpus, jobs, want):
     monkeypatch.setattr(census.os, "cpu_count", lambda: cpus)
@@ -545,7 +572,8 @@ def test_pool_size_capped(gf4, monkeypatch, inline_pool, cpus, jobs, want):
                                     progress=seen.append) == 0
     assert inline_pool == [want]
     # the spans, and so the progress calls, follow the jobs capped at the CPUs
-    assert len(seen) == len(census._ranges(3 ** 5, max(min(jobs, cpus), census._SCAN_SPANS)))
+    spans = census._ranges(_INV_ROWS_GF4, max(min(jobs, cpus), census._SCAN_SPANS))
+    assert len(seen) == len(spans)
     assert seen[-1] == 1.0
 
 

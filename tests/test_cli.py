@@ -78,6 +78,19 @@ def test_negative_modulus_exit_2(capsys):
         assert time.monotonic() - t0 < 1.0
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_check_5x5_identity(capsys, p):
+    """The 5x5 identity is semi-involutory with witness I; deciding that
+    it is reducible, so that it has no witness scalars, takes no search
+    over its 5! permutations."""
+    rows = [[int(i == j) for j in range(5)] for i in range(5)]
+    code, out, err = run(capsys, "check", "--json",
+                         json.dumps({"p": p, "m": 1, "n": 5, "rows": rows}))
+    assert code == 0 and not err
+    assert json.loads(out) == {"mds": False, "involutory": True, "si": True,
+                               "branch": "oracle-only", "D": [1] * 5}
+
+
 def test_check_large_n_exit_3(capsys):
     """The MDS test of an n x n Cauchy matrix (MDS, so no early exit)
     stops at its minor budget."""

@@ -118,6 +118,14 @@ def test_conjugate(gf4):
         B.conjugate((0, 0, 1))
 
 
+def reducible_by_permutations(A):
+    """Reference: the definition, some P A P^T whose lower-left block
+    below split k is zero, over all n! permutations and n - 1 splits."""
+    n, r = A.n, A.rows
+    return any(all(r[perm[i]][perm[j]] == 0 for i in range(k, n) for j in range(k))
+               for perm in itertools.permutations(range(n)) for k in range(1, n))
+
+
 def test_is_reducible(gf4, gf8):
     assert Matrix(gf4, [[1, 1], [0, 1]]).is_reducible()
     assert not Matrix(gf4, [[1, 1], [1, 1]]).is_reducible()
@@ -126,8 +134,30 @@ def test_is_reducible(gf4, gf8):
     assert not Matrix(gf8, [[6, 1, 5], [1, 6, 3], [5, 3, 6]]).is_reducible()
     with pytest.raises(ValueError):
         Matrix(gf4, [[1]]).is_reducible()
-    with pytest.raises(BudgetError):
-        Matrix.identity(gf4, 5).is_reducible()
+    # far past n! permutations: a cycle is irreducible; without one of
+    # its edges, or with that edge reversed, it is not
+    n = 64
+    cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    assert Matrix.identity(gf4, 5).is_reducible()
+    assert not Matrix(gf4, cycle).is_reducible()
+    for i, j in ((n - 1, 0), (0, 1)):
+        broken = [row[:] for row in cycle]
+        broken[i][j] = 0
+        assert Matrix(gf4, broken).is_reducible()
+        broken[j][i] = 1
+        assert Matrix(gf4, broken).is_reducible()
+
+
+def test_is_reducible_matches_permutation_definition(gf4):
+    """Only where an entry is zero matters: every 0/1 pattern with
+    n = 2, 3 and seeded ones with n = 4 agree with the definition."""
+    patterns = [p for n in (2, 3) for p in itertools.product((0, 1), repeat=n * n)]
+    rng = random.Random(26)
+    patterns += [[rng.randrange(2) for _ in range(16)] for _ in range(2000)]
+    for p in patterns:
+        n = int(len(p) ** 0.5)
+        A = Matrix(gf4, [p[i * n:(i + 1) * n] for i in range(n)])
+        assert A.is_reducible() == reducible_by_permutations(A), p
 
 
 def test_nowhere_zero_is_irreducible(gf4):
