@@ -5,7 +5,8 @@ with an independent brute-force verifier at desk scale:
 
 * the 6-tuple sets (all non-zero (a11, a22, a33, d1, d2, d3) whose four
   decisive sums are non-zero), partitioned by the equality pattern of
-  the a_ii, enumerated literally over (q-1)^6;
+  the a_ii, enumerated literally over (q-1)^6, each by one stage of the
+  exhaustive matrix census's engine, which crosses all six coordinates;
 * the parametrized enumeration, which builds every matrix from the
   tuples in S x (x, y), broadcasting batches of S tuples as (R, 1)
   columns against the (1, (q-1)^2) row of all (x, y), and deduplicates
@@ -67,6 +68,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -79,12 +81,9 @@ from .matrix import Matrix, det3, minor, minors
 from .si import (nowhere_zero_si, oracle_hits, product_det_terms,
                  triangle_products_agree)
 
-SET_NAMES = ("S", "S1", "S2", "S3", "S4", "S5", "SI_MDS", "INV_MDS")
-
 CSV_HEADER = "set,q,formula,brute_force,match,seconds"
 
-# Spans of the 6-tuples, or of a matrix census's first stage, per scan,
-# so that a one-process scan still reports progress.
+# Spans of a scan's first stage, so that one process still reports progress.
 _SCAN_SPANS = 8
 
 
@@ -161,9 +160,15 @@ def _reported(results, n: int, progress) -> list:
 
 # -- the 6-tuple sets ---------------------------------------------------
 
-def _tuple_set_masks(f, cols: list[np.ndarray], subset: str) -> np.ndarray:
-    a11, a22, a33 = cols[:3]
-    mask = _nonzero(*decisive_sums(f, *cols))
+_TUPLE_SETS = ("S", "S1", "S2", "S3", "S4", "S5")
+
+
+def _tuple_set_masks(f, cols, subset: str) -> np.ndarray:
+    """Whether each 6-tuple (a11, a22, a33, d1, d2, d3) = (cols[0], ...,
+    cols[5]) lies in the named set.  `cols` is read by index only, so a
+    scan's dict of columns keyed by position serves as a list does."""
+    a11, a22, a33 = cols[0], cols[1], cols[2]
+    mask = _nonzero(*decisive_sums(f, *(cols[k] for k in range(6))))
     if subset == "S":
         return mask
     if subset == "S1":
@@ -177,28 +182,6 @@ def _tuple_set_masks(f, cols: list[np.ndarray], subset: str) -> np.ndarray:
     if subset == "S5":
         return mask & (a22 == a33) & (a11 != a22)
     raise ValueError(f"unknown tuple subset {subset!r}")
-
-
-def _count_tuples_worker(args) -> int:
-    """The size of the named set among the 6-tuples [lo, hi) in digit
-    order, counted in chunks of `_CHUNK`."""
-    gf, subset, lo, hi = args
-    f = bulk_ops(gf)
-    count = 0
-    for start in range(lo, hi, _CHUNK):
-        cols = _digits(start, min(start + _CHUNK, hi), 6, gf.q - 1)
-        count += int(_tuple_set_masks(f, cols, subset).sum())
-    return count
-
-
-def brute_force_S(gf: GF, subset: str = "S", jobs: int = 1,
-                  progress=None) -> int:
-    """Literal enumeration of the named 6-tuple set over (F_q^*)^6.
-    `progress(fraction)` is called as each span of the 6-tuples
-    finishes."""
-    _require_char2_desk(gf)
-    return sum(_run_partitioned(_count_tuples_worker, (gf, subset), (gf.q - 1) ** 6,
-                                jobs, parts=_SCAN_SPANS, progress=progress))
 
 
 def distinct_diag_inner_count(gf: GF, a11: int, a22: int, a33: int) -> int:
@@ -244,11 +227,6 @@ def _product_entry(f, a, b, i: int, j: int) -> np.ndarray:
 
 
 # -- exhaustive matrix census -------------------------------------------
-#
-# A scan is a list of stages; each stage but the last adds some entries,
-# and each applies tests that read only entries known by then.  Candidates
-# live in dicts keyed by entry index, so a test that reads an entry not
-# yet known raises KeyError instead of reading garbage.
 
 def _mds_on_a33(f, e, m12_01) -> np.ndarray:
     """The determinant and the four 2x2 minors that read a33: the parts
@@ -313,22 +291,29 @@ def _inv_mds_last(f, e) -> np.ndarray:
     return ok
 
 
-# (entries added, tests applied in order once they are known).  Each
-# condition is tested at the first stage where every entry it reads is
-# known, and only there.  SI_MDS tests both conditions of
-# `si.nowhere_zero_si`: the triangle products once the off-diagonal
-# entries are known, and `product_det` by solving it for a33.  Its a11
-# stage tests the two 2x2 minors that read a11 but neither a22 nor a33,
-# and its last stage, which adds a22, the three that read a22 and no
-# a33, then the other four and the determinant on the solved a33, which
-# includes the non-singularity the entry-level test presumes.  The a22
-# minors keep most of their grid (504,210 of 705,894 at q = 8), so the
-# solve runs on the whole grid and products that do not read a22 are
-# formed once per a11 survivor.  INV_MDS tests nothing until its last
-# stage adds a22 and solves a31, a32, a23 and a33 from A^2 = I.  A
-# stage's tests see `_grid_mask`'s grid, the survivors innermost; the
-# last stage's mask is counted, not compacted.
+# -- staged scans -------------------------------------------------------
+#
+# A scan is a list of stages, each (entries added, tests applied in
+# order once they are known).  Candidates live in dicts keyed by
+# position, so a test that reads an entry not yet known raises KeyError
+# instead of reading garbage.  A 6-tuple set S..S5 is one stage that
+# crosses all six positions of (a11, a22, a33, d1, d2, d3).  SI_MDS and
+# INV_MDS key the row-major matrix entries (k = 3 i + j) and test each
+# condition at the first stage where every entry it reads is known, and
+# only there.  SI_MDS tests both conditions of `si.nowhere_zero_si`: the
+# triangle products once the off-diagonal entries are known, and
+# `product_det` by solving it for a33.  Its a11 stage tests the two 2x2
+# minors that read a11 but neither a22 nor a33, and its last stage,
+# which adds a22, the three that read a22 and no a33, then the other
+# four and the determinant on the solved a33, which includes the
+# non-singularity the entry-level test presumes.  The a22 minors keep
+# most of their grid (504,210 of 705,894 at q = 8), so the solve runs on
+# the whole grid and products that do not read a22 are formed once per
+# a11 survivor.  INV_MDS tests nothing until its last stage adds a22 and
+# solves a31, a32, a23 and a33 from A^2 = I.
 _STAGES = {
+    **{name: (((0, 1, 2, 3, 4, 5), (partial(_tuple_set_masks, subset=name),)),)
+       for name in _TUPLE_SETS},
     "SI_MDS": (
         ((1, 2, 3, 5, 6, 7), (triangle_products_agree,)),
         ((0,), (lambda f, e: _nonzero(minor(f, e, (0, 1), (0, 2)),
@@ -341,18 +326,21 @@ _STAGES = {
     ),
 }
 
+SET_NAMES = tuple(_STAGES)
+
+
 def _grid_mask(f, tests, old: dict, new: dict) -> np.ndarray:
     """The tests' masks ANDed over the grid of the values of `new` by
-    the survivors of `old` (dicts of flat columns keyed by entry index;
+    the survivors of `old` (dicts of flat columns keyed by position;
     either may be empty).  The tests see the values as (w, 1) columns
     and the survivors as a (1, r) row, innermost, so that numpy's inner
     loops run over the r survivors rather than the few new values.  The
-    mask is broadcast, read-only, to the (w, r) grid.  A scan's last
-    stage counts this mask; every earlier one compacts it by `_cross`."""
+    mask starts as the first test's and is broadcast, read-only, to the
+    (w, r) grid."""
     e = {pos: col[None, :] for pos, col in old.items()}
     e.update((pos, col[:, None]) for pos, col in new.items())
-    mask = True
-    for test in tests:
+    mask = tests[0](f, e) if tests else True
+    for test in tests[1:]:
         mask = mask & test(f, e)
     return np.broadcast_to(mask, np.broadcast_shapes(*(col.shape for col in e.values())))
 
@@ -370,45 +358,56 @@ def _cross(f, tests, old: dict, new: dict) -> dict:
     return kept
 
 
+def _count(f, q: int, stages, old: dict, new: dict) -> int:
+    """Count the pairs of a survivor of `old` and a value of `new` that
+    pass the first of `stages` and every later one.  The last stage
+    counts `_grid_mask`'s mask; an earlier one compacts it by `_cross`
+    and hands the next its survivors in blocks of `_CHUNK` // w, for
+    its w = (q-1)^len(entries) values, at most `_CHUNK` pairs a grid."""
+    (_, tests), later = stages[0], stages[1:]
+    if not later:
+        return int(np.count_nonzero(_grid_mask(f, tests, old, new)))
+    e = _cross(f, tests, old, new)
+    entries = later[0][0]
+    grid = dict(zip(entries, nonzero_grid(q, len(entries))))
+    step = max(1, _CHUNK // (q - 1) ** len(entries))
+    n = len(next(iter(e.values())))
+    return sum(_count(f, q, later, {pos: col[lo:lo + step] for pos, col in e.items()}, grid)
+               for lo in range(0, n, step))
+
+
 def _staged_count(f, q: int, stages, lo: int, hi: int) -> int:
     """Count the candidates passing every stage's tests, over the rows
     [lo, hi) of the first stage's entries (all in F_q^*, digit order),
-    in blocks of at most `_CHUNK` rows; each block's survivors go
-    through the later stages depth-first by `_descend`."""
-    first, tests = stages[0]
-    count = 0
-    for start in range(lo, hi, _CHUNK):
-        cols = _digits(start, min(start + _CHUNK, hi), len(first), q - 1)
-        count += _descend(f, q, stages, 1, _cross(f, tests, {}, dict(zip(first, cols))))
-    return count
+    in blocks of at most `_CHUNK` rows, each counted by `_count`."""
+    first = stages[0][0]
+    return sum(_count(f, q, stages, {}, dict(zip(first, _digits(
+                   start, min(start + _CHUNK, hi), len(first), q - 1))))
+               for start in range(lo, hi, _CHUNK))
 
 
-def _descend(f, q: int, stages, k: int, e: dict) -> int:
-    """Count the survivors `e` (flat columns) of stages before k that
-    pass stage k and every later stage.  Stage k takes the survivors in
-    blocks of at most `_CHUNK` // w, for the w = (q-1)^len(entries)
-    non-zero values of its new entries, and crosses every value with the
-    block, at most `_CHUNK` pairs: by `_cross`, compacting the survivors
-    once, or, as the last stage, by `_grid_mask`, whose mask it counts
-    (both scans' last stages add a22 and solve their other entries on
-    that grid)."""
-    n = len(next(iter(e.values())))
-    entries, tests = stages[k]
-    grid = dict(zip(entries, nonzero_grid(q, len(entries))))
-    step = max(1, _CHUNK // (q - 1) ** len(entries))
-    count = 0
-    for start in range(0, n, step):
-        block = {pos: col[start:start + step] for pos, col in e.items()}
-        if k == len(stages) - 1:
-            count += int(np.count_nonzero(_grid_mask(f, tests, block, grid)))
-        else:
-            count += _descend(f, q, stages, k + 1, _cross(f, tests, block, grid))
-    return count
-
-
-def _matrix_census_worker(args) -> int:
+def _scan_worker(args) -> int:
     gf, target, lo, hi = args
     return _staged_count(bulk_ops(gf), gf.q, _STAGES[target], lo, hi)
+
+
+def _scan(gf: GF, target: str, jobs: int, progress) -> int:
+    """Count the named target of `_STAGES` over every row of its first
+    stage's entries, up to q = 16 (else BudgetError)."""
+    _require_char2_desk(gf)
+    total = (gf.q - 1) ** len(_STAGES[target][0][0])
+    return sum(_run_partitioned(_scan_worker, (gf, target), total, jobs,
+                                parts=_SCAN_SPANS, progress=progress))
+
+
+def brute_force_S(gf: GF, subset: str = "S", jobs: int = 1,
+                  progress=None) -> int:
+    """Literal enumeration of the named 6-tuple set over (F_q^*)^6, a
+    one-stage scan.  `progress(fraction)` is called as each span of the
+    6-tuples finishes."""
+    if subset not in _TUPLE_SETS:
+        raise ValueError(f"unknown tuple subset {subset!r}")
+    return _scan(gf, subset, jobs, progress)
 
 
 def exhaustive_matrix_census(gf: GF, target: str, jobs: int = 1,
@@ -421,12 +420,9 @@ def exhaustive_matrix_census(gf: GF, target: str, jobs: int = 1,
     scanned up to q = 16, the cap the tuple sets and the enumeration
     share; larger q raises BudgetError.
     `progress(fraction)` is called as each span of the scan finishes."""
-    if target not in _STAGES:
+    if target not in ("SI_MDS", "INV_MDS"):
         raise ValueError("target must be SI_MDS or INV_MDS")
-    _require_char2_desk(gf)
-    total = (gf.q - 1) ** len(_STAGES[target][0][0])
-    return sum(_run_partitioned(_matrix_census_worker, (gf, target),
-                                total, jobs, parts=_SCAN_SPANS, progress=progress))
+    return _scan(gf, target, jobs, progress)
 
 
 # -- parametrized enumeration -------------------------------------------
@@ -688,13 +684,16 @@ def run_census(gf: GF, sets=None, mode: str = "both", exhaustive: bool = False,
     """Evaluate formula and brute-force counts for the requested sets.
 
     Budget overruns on a brute-force path are recorded in the report
-    note instead of aborting the run.  `exhaustive` switches the SI_MDS
-    brute force from the parametrized enumeration to the full matrix
-    scan."""
+    note instead of aborting the run.  Every brute force is a staged
+    scan but SI_MDS's, the parametrized enumeration unless `exhaustive`
+    switches it to the full matrix scan.  `mode` is "both" or
+    "formula" (no brute force), else ValueError."""
     if gf.p != 2 or gf.m < 2:
         raise ValueError("census is defined over GF(2^m), m >= 2")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
+    if mode not in ("both", "formula"):
+        raise ValueError(f"mode must be 'both' or 'formula', not {mode!r}")
     if sets is None:
         sets = SET_NAMES
     bad = [s for s in sets if s not in SET_NAMES]
@@ -710,9 +709,7 @@ def run_census(gf: GF, sets=None, mode: str = "both", exhaustive: bool = False,
         note = None
         if mode == "both":
             try:
-                if name in ("S", "S1", "S2", "S3", "S4", "S5"):
-                    brute = brute_force_S(gf, name, jobs=jobs, progress=progress)
-                elif name == "SI_MDS" and not exhaustive:
+                if name == "SI_MDS" and not exhaustive:
                     stats = enumeration_stats(gf, long_run=long_run,
                                               progress=progress)
                     brute = stats.distinct
@@ -720,8 +717,10 @@ def run_census(gf: GF, sets=None, mode: str = "both", exhaustive: bool = False,
                         note = (f"{stats.tuples_per_matrix} parameter tuples "
                                 f"per distinct matrix")
                 else:
-                    brute = exhaustive_matrix_census(gf, name, jobs=jobs,
-                                                     progress=progress)
+                    # by public name, so that a profile sees each count
+                    scan = (brute_force_S if name in _TUPLE_SETS
+                            else exhaustive_matrix_census)
+                    brute = scan(gf, name, jobs=jobs, progress=progress)
             except BudgetError as err:
                 note = str(err)
         match = None if brute is None else (brute == formula)

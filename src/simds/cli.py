@@ -44,7 +44,10 @@ def _load_payload(args) -> dict:
             text = fh.read()
     else:
         raise ValueError("provide --json, --file, or --file - for stdin")
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON payload is nested too deeply") from None
 
 
 def _emit(obj, pretty: bool) -> None:

@@ -142,6 +142,43 @@ def test_staged_scan_visits_every_matrix_once(gf4, monkeypatch, target):
     assert max(sizes) <= 100
 
 
+@pytest.mark.parametrize("target", ["S", "S1", "S2", "S3", "S4", "S5"])
+def test_staged_tuple_set_visits_every_tuple_once(gf4, monkeypatch, target):
+    """A tuple set's one stage, with its test replaced by one that keeps
+    every candidate, reaches each non-zero 6-tuple (a11, a22, a33, d1,
+    d2, d3) over GF(4), keyed by position 0..5, exactly once, in blocks
+    of at most _CHUNK rows."""
+    monkeypatch.setattr(census, "_CHUNK", 100)
+    sizes, keys = [], []
+
+    def record(f, e):
+        assert sorted(e) == list(range(6))
+        assert all((col != 0).all() for col in e.values())
+        keys.append(_pack_keys([e[k] for k in range(6)], gf4.m).ravel())
+        mask = np.ones(np.broadcast_shapes(*(v.shape for v in e.values())), dtype=bool)
+        sizes.append(mask.size)
+        return mask
+
+    ((entries, _),) = census._STAGES[target]
+    assert entries == tuple(range(6))
+    visited = census._staged_count(bulk_ops(gf4), gf4.q, [(entries, (record,))], 0, 3 ** 6)
+    assert visited == len(np.unique(np.concatenate(keys))) == 3 ** 6
+    assert max(sizes) <= 100
+
+
+def test_scan_targets_are_the_set_names(gf4):
+    """Every set the census counts is a target of `_STAGES`, listed once
+    and in report order, and each public scan refuses the other kind's
+    names."""
+    assert tuple(census._STAGES) == SET_NAMES
+    for name in ("SI_MDS", "INV_MDS", "S6"):
+        with pytest.raises(ValueError, match="unknown tuple subset"):
+            brute_force_S(gf4, name)
+    for name in ("S", "S5", "MDS"):
+        with pytest.raises(ValueError, match="target must be"):
+            exhaustive_matrix_census(gf4, name)
+
+
 @pytest.mark.parametrize("q, target, want", [
     (8, "SI_MDS", [[117649, 16807], [117649, 100842], [705894, 504210, 403368]]),
     (8, "INV_MDS", [[2401], [16807, 1176]]),
@@ -730,6 +767,14 @@ def test_run_census_formula_only(gf16a):
     assert all(r.brute_force_value is None and r.match is None for r in reports)
     assert reports[0].formula_value == 127575000
     assert reports[1].formula_value == 37800
+
+
+def test_run_census_rejects_unknown_mode(gf4):
+    """A mode other than "both" or "formula" is bad input, as an unknown
+    set is, not a run with no brute force."""
+    for mode in ("bogus", "Both", ""):
+        with pytest.raises(ValueError, match="mode must be"):
+            run_census(gf4, ("S",), mode=mode)
 
 
 def test_run_census_budget_noted():

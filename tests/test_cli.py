@@ -240,6 +240,19 @@ def test_non_integer_numbers_rejected_exit_2(capsys):
     assert code == 2 and not out and "1.0" in err
 
 
+@pytest.mark.parametrize("command", ["check", "build", "extract"])
+def test_deeply_nested_payload_exit_2(capsys, tmp_path, command):
+    """A payload nested past the JSON parser's recursion limit is bad
+    input, exit 2, whether it comes by --json or by --file."""
+    deep = "[" * 5000 + "]" * 5000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for source in (["--json", deep], ["--file", str(path)]):
+        code, out, err = run(capsys, command, *source)
+        assert code == 2 and not out
+        assert err.startswith("error:") and "nested too deeply" in err
+
+
 def test_build_check_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "build", "--json", PARAMS16)
     matrix = json.dumps(json.loads(out)["matrix"])

@@ -422,17 +422,24 @@ def _columns(matrices):
 
 def test_oracle_hits_verdicts_match_scalar_oracle(monkeypatch, gf8, gf16a):
     """The batched oracle finds a diagonal exactly for the matrices that
-    are non-singular and semi-involutory by `si_oracle`: all 4^9
-    matrices over GF(4), singular ones included, and seeded samples over
-    GF(8) and GF(16), random ones and built semi-involutory ones, these
-    by `si_oracle`'s scalar loop."""
-    from simds import si
+    are non-singular and semi-involutory: all 4^9 matrices over GF(4),
+    singular ones included, against A (D A) formed cell by cell by
+    `census._product_entry` for each of the 27 diagonals D, and seeded
+    samples over GF(8) and GF(16), random ones and built
+    semi-involutory ones, against `si_oracle`'s scalar loop."""
+    from simds import census, si
+    f = bulk_ops(GF4)
     e = np.indices((4,) * 9, dtype=np.uint8).reshape(9, -1)
-    got = oracle_hits(GF4, e).any(axis=1).tolist()
-    want = [A.det() != 0 and si_oracle(A).si
-            for A in (Matrix(GF4, (t[0:3], t[3:6], t[6:9]))
-                      for t in itertools.product(range(4), repeat=9))]
-    assert got == want and sum(want) == 8370
+    got = oracle_hits(GF4, e).any(axis=1)
+    want = np.zeros(e.shape[1], dtype=bool)
+    for d in itertools.product(range(1, 4), repeat=3):
+        da = [f.mul(d[k], e[3 * k + j]) for k in range(3) for j in range(3)]
+        hit = np.ones(e.shape[1], dtype=bool)
+        for i, j in itertools.product(range(3), repeat=2):
+            cell = census._product_entry(f, e, da, i, j)
+            hit &= (cell != 0) if i == j else (cell == 0)
+        want |= hit
+    assert np.array_equal(got, want) and want.sum() == 8370
     rng = random.Random(433)
     samples = [[Matrix(gf, [[rng.randrange(gf.q) for _ in range(3)] for _ in range(3)])
                 for _ in range(n)] + _built_si(gf, 439, 20)
