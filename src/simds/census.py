@@ -40,22 +40,24 @@ with an independent brute-force verifier at desk scale:
   stage (7.1e5 at q = 8), and the scan takes seconds;
 * the parameter sweep, which checks the construction's MDS, A D A,
   determinant and zero-pattern claims on every 8-tuple (a11, a22, a33,
-  d1, d2, d3, x, y): x, y and a block of R 6-tuples lie on three
-  broadcast axes, (q-1, 1, 1), (1, q-1, 1) and (1, 1, R), so each value
+  d1, d2, d3, x, y) on bit-sliced elements: a block of 6-tuples is
+  packed 64 to a word, W words, and x, y and the words lie on three
+  broadcast axes, (q-1, 1, 1), (1, q-1, 1) and (1, 1, W), so each value
   is computed only over the parameters it reads (a12 and a21 over the
   6-tuple and x, a23 and a32 over the 6-tuple and y), and only a13,
-  a31 and what reads them span all (q-1)^2 R 8-tuples of the block.
-  A block holds a quarter of `_CHUNK` 8-tuples, since about 35 arrays
-  of its size are alive at once.
+  a31 and what reads them span all (q-1)^2 64 W 8-tuples of the block.
+  Each check's failures are a mask of packed words, whose set bits are
+  counted.
 
 Every path but the sweep stops at q = 16; the sweep stops at q = 8.
-Bulk work runs on numpy lookup tables in fixed-size chunks of
-`_tables._CHUNK` rows or broadcast pairs.  The tuple sets, the matrix
-census and the sweep can be partitioned across processes by contiguous
-index ranges (of the 6-tuples, for the sweep), each worker taking the
-`GF` itself, and their counts are independent of the partitioning; the
-enumeration runs in one process.
-The kernels take the field argument f = `_tables.bulk_ops(gf)`.  The
+Every path but the sweep runs on numpy lookup tables, in fixed-size
+chunks of `_tables._CHUNK` rows or broadcast pairs, with the field
+argument f = `_tables.bulk_ops(gf)`; the sweep takes f =
+`_tables.plane_ops(gf)`, over the same kernels.  The tuple sets, the
+matrix census and the sweep can be partitioned across processes by
+contiguous index ranges (of the 6-tuples, for the sweep), each worker
+taking the `GF` itself, and their counts are independent of the
+partitioning; the enumeration runs in one process.  The
 tuple sets, the enumeration and the sweep take the construction's sums,
 entries, det and A D A diagonal from `construct`; the exhaustive matrix
 census reads none of them and judges semi-involutory matrices by the
@@ -73,7 +75,7 @@ from itertools import product
 
 import numpy as np
 
-from ._tables import _CHUNK, _digits, bulk_ops, nonzero_grid
+from ._tables import _CHUNK, _digits, bulk_ops, nonzero_grid, plane_ops
 from .construct import construction_entries, decisive_sums, det_and_ada
 from .errors import BudgetError, InternalMismatchError
 from .field import GF
@@ -85,6 +87,12 @@ CSV_HEADER = "set,q,formula,brute_force,match,seconds"
 
 # Spans of a scan's first stage, so that one process still reports progress.
 _SCAN_SPANS = 8
+
+# Packed words of 6-tuples per block of the parameter sweep: at q = 8,
+# 84 words (5,376 6-tuples, 22 blocks) is the largest block whose
+# traced peak stays under 2 MB (1.91 MB), with about 16 arrays of the
+# full (m, q-1, q-1, W) shape alive at once as `det3` reads the minors.
+_SWEEP_WORDS = 84
 
 
 def formula_count(set_name: str, m: int) -> int:
@@ -585,51 +593,77 @@ class SweepResult:
                     or self.det_formula_failures or self.zero_pattern_failures)
 
 
+def _lanes_nonzero(*values) -> np.ndarray:
+    """Packed words whose lane bits are set where every bit-sliced value
+    is non-zero, the OR of its planes, over the values' broadcast
+    shape."""
+    mask = np.bitwise_or.reduce(values[0], axis=0)
+    for v in values[1:]:
+        mask = mask & np.bitwise_or.reduce(v, axis=0)
+    return mask
+
+
+def _set_lanes(words: np.ndarray, full: tuple) -> int:
+    """The set bits of `words` broadcast to the shape `full`, counted on
+    the bytes of `words` alone, since broadcasting repeats each of them
+    the same number of times."""
+    bits = np.count_nonzero(np.unpackbits(words.view(np.uint8)))
+    return bits * (np.prod(full) // words.size)
+
+
 def _sweep_worker(args) -> tuple:
     """The four failure counters over the 6-tuples (a11, a22, a33, d1,
     d2, d3) [lo, hi) in digit order, each crossed with every (x, y).
 
-    x, y and a block of up to `_CHUNK // 4 // (q-1)^2` 6-tuples each get
-    their own broadcast axis: x is (q-1, 1, 1), y is (1, q-1, 1) and the
-    6-tuples are (1, 1, R), innermost so that numpy's inner loops run R
-    elements long.  Every bulk operation broadcasts, so each value spans
-    only the axes it reads: the sums, r12/r13/r21 and the predicted det
-    and A D A diagonal of `construct.det_and_ada` are (1, 1, R); a12 and
-    a21 are (q-1, 1, R), a23 and a32 (1, q-1, R), and so are the minors
-    and A D A terms built from them alone; only a13, a31 and what reads
-    them span the full (q-1, q-1, R).  Each counter sums its mask
-    broadcast to that full shape, so it counts every 8-tuple whatever
-    axes the mask reads."""
+    The elements are bit-sliced, f = `_tables.plane_ops(gf)`: a block of
+    up to 64 * `_SWEEP_WORDS` 6-tuples is packed 64 to a word, W words,
+    and x, y and the packed words each get their own broadcast axis
+    behind the m planes: x is (m, q-1, 1, 1), y is (m, 1, q-1, 1), one
+    word per value, all ones or all zeros, and the 6-tuples are
+    (m, 1, 1, W), innermost so that numpy's inner loops run W words
+    long.  Every bulk operation broadcasts, so each value spans only the
+    axes it reads: the sums, r12/r13/r21 and the predicted det and A D A
+    diagonal of `construct.det_and_ada` are (m, 1, 1, W); a12 and a21
+    are (m, q-1, 1, W), a23 and a32 (m, 1, q-1, W), and so are the
+    minors and A D A terms built from them alone; only a13, a31 and what
+    reads them span the full (m, q-1, q-1, W).  A check's mask is
+    packed words with a lane's bit set where the check fails, "non-zero"
+    being the OR of an element's planes.  Its lanes past the block's
+    last 6-tuple are cleared, and each counter counts its set bits as
+    if broadcast to (q-1, q-1, W), so it counts every 8-tuple whatever
+    axes the mask reads.  The minors are dropped once their masks are
+    formed, since seven of them span the full shape."""
     gf, lo, hi = args
-    f = bulk_ops(gf)
+    f = plane_ops(gf)
     base = gf.q - 1
     (g,) = nonzero_grid(gf.q, 1)
-    x, y = g[:, None, None], g[None, :, None]
-    # a quarter of `_CHUNK` 8-tuples per block: the sweep keeps about 35
-    # arrays of the full grid's size alive at once, where a scan stage
-    # keeps a few
-    step = max(1, _CHUNK // 4 // base ** 2)
-    bad = np.zeros(4, dtype=np.int64)
+    x, y = f.spread(g[:, None, None]), f.spread(g[None, :, None])
+    step = 64 * _SWEEP_WORDS
+    bad = [0] * 4
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
-        full = (base, base, stop - start)
-        six = [col[None, None, :] for col in _digits(start, stop, 6, base)]
+        six = [f.pack(col)[:, None, None, :] for col in _digits(start, stop, 6, base)]
+        live = f.pack(np.ones(stop - start, np.uint8))[0]
+        full = (base, base, len(live))
         d = six[3:]
         sums = decisive_sums(f, *six)
         s12, s13, s23, s = sums
         e = construction_entries(f, sums, *six, x, y)
-        m = minors(f, e)
-        det = det3(f, e, m[6:])
         # ADA = diag(s^2/d_i) identically; non-singular exactly when s != 0
         want_det, want_ada = det_and_ada(f, s, *d)
+        m = minors(f, e)
+        det = det3(f, e, m[6:])
+        mds_bad = _lanes_nonzero(det, *m) ^ _lanes_nonzero(*sums)
+        det_bad = _lanes_nonzero(det ^ want_det)
+        del m, det
+        zero_bad = _lanes_nonzero(*e) ^ _lanes_nonzero(s12, s13, s23)
         da = [f.mul(d[k], e[3 * k + j]) for k in range(3) for j in range(3)]
-        ada_ok = np.ones(full, dtype=bool)
+        ada_bad = np.zeros(full, dtype=np.uint64)
         for i, j in product(range(3), repeat=2):
-            ada_ok &= _product_entry(f, e, da, i, j) == (want_ada[i] if i == j else 0)
-        # mds_iff_sums, ada_formula, det_formula, zero_pattern failures
-        masks = (_nonzero(det, *m) != _nonzero(*sums), ~ada_ok,
-                 det != want_det, _nonzero(*e) != _nonzero(s12, s13, s23))
-        bad += [np.count_nonzero(np.broadcast_to(mask, full)) for mask in masks]
+            got = _product_entry(f, e, da, i, j)
+            ada_bad |= _lanes_nonzero(got ^ want_ada[i] if i == j else got)
+        for k, mask in enumerate((mds_bad, ada_bad, det_bad, zero_bad)):
+            bad[k] += _set_lanes(mask & live, full)
     return tuple(int(n) for n in bad)
 
 

@@ -14,8 +14,9 @@ diag(d1, d2, d3), and it is MDS exactly when all four sums are
 non-zero.  The sums, the nine entries and the predicted det and A D A
 diagonal have one implementation each, `decisive_sums`,
 `construction_entries` and `det_and_ada`, written over a field argument
-`f`: the scalar functions here pass the field, and the bulk census
-paths pass `_tables.bulk_ops(gf)`.  Also included: the classic char-2
+`f`: the scalar functions here pass the field, the bulk census paths
+pass `_tables.bulk_ops(gf)`, and the parameter sweep passes the
+bit-sliced `_tables.plane_ops(gf)`.  Also included: the classic char-2
 involutory family I + aA + bB built from two rank-one patterns.
 """
 
@@ -97,7 +98,8 @@ def decisive_sums(f, a11, a22, a33, d1, d2, d3) -> tuple:
     """(s12, s13, s23, s) from the products t_i = a_ii d_i.
 
     Written over `f.mul` with XOR as addition, so the same lines take
-    Python ints (f = gf) or numpy arrays (f = `_tables.bulk_ops(gf)`)."""
+    Python ints (f = gf), numpy arrays (f = `_tables.bulk_ops(gf)`) or
+    bit planes (f = `_tables.plane_ops(gf)`)."""
     t1, t2, t3 = f.mul(a11, d1), f.mul(a22, d2), f.mul(a33, d3)
     s12 = t1 ^ t2
     return s12, t1 ^ t3, t2 ^ t3, s12 ^ t3

@@ -7,7 +7,8 @@ expansion at 2x2 and 3x3 (the hot sizes here) and Gaussian elimination
 otherwise; inverses use Gauss-Jordan elimination at every size.  The 2x2
 and 3x3 forms, `det2`, `minor` and `det3`, are written over a field
 argument `f`, so the same lines judge one matrix of ints (f = gf) and
-arrays of matrices (f = `_tables.bulk_ops(gf)`).  `is_mds` takes
+arrays of matrices (f = `_tables.bulk_ops(gf)`, or the bit planes of
+f = `_tables.plane_ops(gf)`).  `is_mds` takes
 each minor's `_det` from plain rows.
 
 CHECK_BUDGET, fixed at 4096, caps the work of a single-matrix check: the
@@ -103,16 +104,6 @@ class Matrix:
                     f = a[r][col]
                     a[r] = [gf.sub(v, gf.mul(f, w)) for v, w in zip(a[r], a[col])]
         return Matrix(gf, [row[n:] for row in a])
-
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        """The submatrix selected by the given row and column index sets."""
-        rows = sorted(set(row_idx))
-        cols = sorted(set(col_idx))
-        if not rows or len(rows) != len(cols):
-            raise ValueError("need non-empty index sets of equal size")
-        if rows[0] < 0 or rows[-1] >= self.n or cols[0] < 0 or cols[-1] >= self.n:
-            raise ValueError("index out of range")
-        return Matrix(self.gf, [[self.rows[i][j] for j in cols] for i in rows])
 
     def is_mds(self) -> bool:
         """True iff every square submatrix of every order is non-singular.

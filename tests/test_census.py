@@ -9,7 +9,7 @@ from simds import (GF, BudgetError, InternalMismatchError, Matrix, brute_force_S
                    exhaustive_matrix_census, formula_count, run_census,
                    sweep_parameter_space)
 from simds import census
-from simds._tables import _digits, bulk_ops, mul_table, nonzero_grid
+from simds._tables import _digits, bulk_ops, mul_table, nonzero_grid, plane_ops
 from simds.census import (CSV_HEADER, SET_NAMES, _mds_mask, _nonzero,
                           _pack_keys, _unpack_keys)
 from simds.construct import construction_entries, decisive_sums
@@ -498,10 +498,9 @@ def test_digits_match_divmod(q, ndigits):
         assert [col.tolist() for col in got] == _digits_by_divmod(start, stop, ndigits, q - 1)
 
 
-def _count_mul_elements(gf, monkeypatch) -> list:
-    """Patch `bulk_ops(gf).mul` to record the size of each product array
-    it returns; returns the list it appends to."""
-    f = bulk_ops(gf)
+def _count_mul_elements(f, monkeypatch) -> list:
+    """Patch the field argument f's mul to record the size of each
+    product array it returns; returns the list it appends to."""
     mul = f.mul
     sizes = []
 
@@ -523,7 +522,7 @@ def test_scan_products_per_candidate(gf8b, monkeypatch):
     tests only the minors that read a22 or a33 and the determinant,
     forming each minor once.  At q = 8 the scan takes at most 0.37
     products per nowhere-zero candidate (0.361)."""
-    sizes = _count_mul_elements(gf8b, monkeypatch)
+    sizes = _count_mul_elements(bulk_ops(gf8b), monkeypatch)
     assert exhaustive_matrix_census(gf8b, "SI_MDS") == 403368
     assert sum(sizes) <= 0.37 * 7 ** 9
 
@@ -875,13 +874,36 @@ def test_jobs_do_not_change_sweep(gf4, gf8b, monkeypatch, inline_pool):
     assert len(inline_pool) == 4
 
 
+def _entries_are_x(f, sums, *params):
+    """Every entry is x, which is non-zero even where the 6-tuple is
+    all zeros, as in the padding lanes of a block's last packed word."""
+    return [params[6]] * 9
+
+
+def test_sweep_counts_no_padding_lanes(gf4, gf8b, monkeypatch, inline_pool):
+    """With every entry x, the zero-pattern check fails exactly on the
+    8-tuples with a vanishing pairwise sum, counted by a literal loop,
+    and would fail on every padding lane, whose sums are 0, were those
+    lanes counted; one span or three, the counts agree."""
+    monkeypatch.setattr(census, "construction_entries", _entries_are_x)
+    for gf in (gf4, gf8b):
+        nonzero = range(1, gf.q)
+        vanishing = sum(0 in decisive_sums(gf, *six)[:3]
+                        for six in itertools.product(nonzero, repeat=6))
+        one = sweep_parameter_space(gf, jobs=1)
+        assert one.zero_pattern_failures == (gf.q - 1) ** 2 * vanishing
+        assert sweep_parameter_space(gf, jobs=3) == one
+
+
 def test_sweep_products_per_tuple(gf4, monkeypatch):
     """Each product of the sweep spans only the broadcast axes it reads:
-    over GF(4) it takes at most 40 products per 8-tuple (38.6), where
-    crossing each 6-tuple with the flat (x, y) row took 56.6."""
-    sizes = _count_mul_elements(gf4, monkeypatch)
+    over GF(4) its `plane_ops` products hold at most 45 lanes per
+    8-tuple, 64 to a word of a plane (40.7, of which 38.6 hold 6-tuples
+    and the rest the block's padding), where crossing each packed
+    6-tuple with a flat (x, y) axis holds 59.7."""
+    words = _count_mul_elements(plane_ops(gf4), monkeypatch)
     assert sweep_parameter_space(gf4).clean
-    assert sum(sizes) <= 40 * 3 ** 8
+    assert sum(words) // gf4.m * 64 <= 45 * 3 ** 8
 
 
 def test_broken_construction_fails_bulk_verification(gf8b, monkeypatch):

@@ -12,7 +12,7 @@ def brute_minors(A):
     out = []
     for rs in itertools.combinations(range(3), 2):
         for cs in itertools.combinations(range(3), 2):
-            out.append(A.submatrix(rs, cs).det())
+            out.append(Matrix(A.gf, [[A.rows[i][j] for j in cs] for i in rs]).det())
     return tuple(out)
 
 

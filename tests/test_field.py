@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from simds import GF, validate_modulus
-from simds._tables import bulk_ops, inv_table, mul_table
+from simds._tables import bulk_ops, inv_table, mul_table, plane_ops
 
 
 def egcd_inverse(gf, a):
@@ -255,6 +255,39 @@ def test_bulk_ops_match_scalar_arithmetic(m, poly):
     inverses = inv(a[1:])
     assert inverses.dtype == np.uint8
     assert inverses.tolist() == [gf.inv(x) for x in range(1, q)]
+
+
+def _plane_values(planes, n):
+    """The first n lanes of the packed planes `planes`, (m, ..., W), as
+    uint8 elements."""
+    lanes = np.unpackbits(planes.view(np.uint8), axis=-1, bitorder="little")[..., :n]
+    return sum(lanes[k] << k for k in range(len(planes)))
+
+
+@pytest.mark.parametrize("m, poly", [(2, 0b111), (3, 0b1011), (3, 0b1101),
+                                     (4, 0b10011), (4, 0b11001), (4, 0b11111)])
+def test_plane_ops_match_tables(m, poly):
+    """`plane_ops` gives `mul_table` on all q^2 pairs, packed 64 to a
+    word or one operand spread one word per element, and `inv_table` on
+    every element, 0 included, under every modulus of degree 2, 3 and
+    4.  A multiply built from another modulus of the same degree still
+    makes a field, so the sweep would come out clean with it; this test
+    ties the multiply to gf's own."""
+    gf = GF(2, m, poly)
+    q = gf.q
+    f = plane_ops(gf)
+    assert plane_ops(GF(2, m, poly)) is f
+    a = np.arange(q, dtype=np.uint8)
+    flat = f.mul(f.pack(np.repeat(a, q)), f.pack(np.tile(a, q)))
+    assert flat.dtype == np.uint64 and flat.shape == (m, -(-q * q // 64))
+    assert _plane_values(flat, q * q).tolist() == mul_table(gf).ravel().tolist()
+    assert not _plane_values(flat, flat.shape[1] * 64)[q * q:].any()
+    rows = f.spread(a[:, None])
+    assert rows.shape == (m, q, 1)
+    assert set(rows.ravel().tolist()) <= {0, 2 ** 64 - 1}
+    grid = f.mul(rows, f.pack(a)[:, None, :])
+    assert _plane_values(grid, q).tolist() == mul_table(gf).tolist()
+    assert _plane_values(f.inv(f.pack(a)), q).tolist() == inv_table(gf).tolist()
 
 
 @pytest.mark.parametrize("m, poly", [(2, 0b111), (3, 0b1011), (4, 0b10011),

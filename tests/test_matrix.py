@@ -166,18 +166,6 @@ def test_nowhere_zero_is_irreducible(gf4):
             assert not A.is_reducible()
 
 
-def test_submatrix(gf4):
-    A = Matrix(gf4, [[1, 2], [3, 0]])
-    assert A.submatrix([1], [1]).rows == ((0,),)
-    assert A.submatrix([0, 1], [0, 1]) == A
-    B = Matrix(gf4, [[1, 2, 3], [2, 0, 1], [3, 3, 2]])
-    assert B.submatrix([0, 1], [1, 2]).rows == ((2, 3), (0, 1))
-    with pytest.raises(ValueError):
-        B.submatrix([0], [1, 2])
-    with pytest.raises(ValueError):
-        B.submatrix([0, 3], [1, 2])
-
-
 def test_det_multiplicative_gf4_exhaustive(gf4):
     mats = list(all_matrices(gf4, 2))
     for A in mats:
@@ -228,8 +216,8 @@ def test_inverse_is_adjugate_over_det(gf4, gf8, f11):
                     continue
                 dinv = gf.inv(det)
                 adj = [[1 if n == 1 else
-                        A.submatrix([k for k in range(n) if k != j],
-                                    [k for k in range(n) if k != i]).det()
+                        Matrix(gf, [[v for c, v in enumerate(row) if c != i]
+                                    for r, row in enumerate(A.rows) if r != j]).det()
                         for j in range(n)] for i in range(n)]
                 want = [[gf.mul(dinv, adj[i][j] if (i + j) % 2 == 0
                                 else gf.neg(adj[i][j]))
