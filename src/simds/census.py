@@ -8,15 +8,17 @@ with an independent brute-force verifier at desk scale:
   the a_ii, enumerated literally over (q-1)^6, each by one stage of the
   exhaustive matrix census's engine, which crosses all six coordinates;
 * the parametrized enumeration, which builds every matrix from the
-  tuples in S x (x, y), broadcasting batches of S tuples as (R, 1)
-  columns against the (1, (q-1)^2) row of all (x, y), and deduplicates
+  tuples in S x (x, y) on the sweep's axes, x by y by a batch of S
+  tuples, (q-1, 1, 1), (1, q-1, 1) and (1, 1, R), so that a12, a21, a23
+  and a32 span only the tuples and one of x and y, and deduplicates
   with a sort, one (a11, a22) group at a time: both are matrix entries,
   so two groups never share a matrix, a key packs only the other seven
   entries into 32 bits, and memory is bounded by one group's keys.
-  Each batch's distinct matrices are verified in bulk by the entry-level
-  test, and every 4096th matrix of the build order by `Matrix.is_mds`
-  and by the independent literal diagonal search, batched as
-  `si.oracle_hits`;
+  The distinct matrices of a few groups at a time (2^15 or more) are
+  verified together in bulk by the entry-level test, and every 4096th
+  matrix of the build order by `Matrix.is_mds` and by the independent
+  literal diagonal search, batched as `si.oracle_hits`, before those
+  groups are reported;
 * the exhaustive matrix census, which judges all (q-1)^9 nowhere-zero
   3x3 matrices and counts the semi-involutory MDS (or involutory MDS)
   ones with no reference to the construction.  It fixes the entries in
@@ -47,7 +49,8 @@ with an independent brute-force verifier at desk scale:
   6-tuple and x, a23 and a32 over the 6-tuple and y), and only a13,
   a31 and what reads them span all (q-1)^2 64 W 8-tuples of the block.
   Each check's failures are a mask of packed words, whose set bits are
-  counted.
+  counted; the minors are formed one at a time after the three that
+  the determinant reads, each ANDed into the MDS mask at once.
 
 Every path but the sweep stops at q = 16; the sweep stops at q = 8.
 Every path but the sweep runs on numpy lookup tables, in fixed-size
@@ -89,10 +92,12 @@ CSV_HEADER = "set,q,formula,brute_force,match,seconds"
 _SCAN_SPANS = 8
 
 # Packed words of 6-tuples per block of the parameter sweep: at q = 8,
-# 84 words (5,376 6-tuples, 22 blocks) is the largest block whose
-# traced peak stays under 2 MB (1.91 MB), with about 16 arrays of the
-# full (m, q-1, q-1, W) shape alive at once as `det3` reads the minors.
-_SWEEP_WORDS = 84
+# 104 words (6,656 6-tuples, 18 blocks) keep the traced peak under 2 MB
+# (1.80 MB), with at most three minors alive at once, and each
+# (m, q-1, q-1, W) uint64 array, 122,304 bytes, under glibc's 128 KiB
+# mmap threshold, which holds for W <= 111, so that it comes from the
+# heap rather than from fresh zeroed pages.
+_SWEEP_WORDS = 104
 
 
 def formula_count(set_name: str, m: int) -> int:
@@ -442,17 +447,32 @@ def exhaustive_matrix_census(gf: GF, target: str, jobs: int = 1,
 # one scalar spot check per this many matrices of the build order
 _SPOT_CHECK_STRIDE = 4096
 
+# distinct matrices held back before they are verified together: at
+# q = 8 the bulk checks take 0.49 ms for one group's 8,232 and 1.08 ms
+# for four groups' 32,928 (best of 30, 2 vCPU Xeon), so nearly half of
+# a lone group's cost is per call
+_VERIFY_BATCH = 1 << 15
+
 
 def _pack_keys(e, m: int) -> np.ndarray:
     """One uint32 key per matrix from its m-bit entries `e`, the first
     in the top bits; more than 32 bits raise ValueError.  A group packs
     the seven entries other than its constant a11 and a22, 7 m <= 28
-    bits at the enumeration's q <= 16.  The entries broadcast."""
+    bits at the enumeration's q <= 16.  The entries broadcast: each is
+    shifted to its place and the terms are ORed smallest array first,
+    so that the key spans the full broadcast shape only once it must,
+    and from then on takes each term in place."""
     if len(e) * m > 32:
         raise ValueError(f"{len(e)} {m}-bit entries do not fit a 32-bit key")
-    key = e[0].astype(np.uint32)
-    for col in e[1:]:
-        key = (key << np.uint32(m)) | col.astype(np.uint32)
+    key = None
+    for k in sorted(range(len(e)), key=lambda k: e[k].size):
+        term = np.left_shift(e[k], np.uint32(m * (len(e) - 1 - k)), dtype=np.uint32)
+        if key is None:
+            key = term
+        elif np.broadcast_shapes(key.shape, term.shape) == key.shape:
+            key |= term
+        else:
+            key = key | term
     return key
 
 
@@ -492,63 +512,95 @@ class EnumerationStats:
         return None
 
 
+def _verify_built(gf: GF, f, groups: list, picked: list) -> None:
+    """Verify the distinct matrices of `groups`, each ((a11, a22), keys,
+    tuple count) as `_parametrized_groups` yields it, and the spot-check
+    matrices `picked`, nine lists of entry columns; raise
+    InternalMismatchError on any failure.
+
+    The keys are unpacked, with each group's a11 and a22 added back, and
+    judged semi-involutory (by the entry-level test) and MDS in bulk, in
+    blocks of `_CHUNK` matrices.  The spot checks are judged by the
+    literal diagonal search of `si.oracle_hits`, in one call, which
+    finds no diagonal for a singular matrix, and by `Matrix.is_mds`, one
+    at a time."""
+    keys = np.concatenate([np.empty(0, np.uint32)] + [k for _, k, _ in groups])
+    sizes = [len(k) for _, k, _ in groups]
+    fixed = [np.repeat(np.array([g[i] for g, _, _ in groups], np.uint8), sizes)
+             for i in range(2)]
+    for lo in range(0, len(keys), _CHUNK):
+        d = _unpack_keys(keys[lo:lo + _CHUNK], gf.m, 7)
+        d[0:0] = [fixed[0][lo:lo + _CHUNK]]
+        d[4:4] = [fixed[1][lo:lo + _CHUNK]]
+        ok = _nonzero(*d) & nowhere_zero_si(f, d) & _mds_mask(f, d)
+        if not ok.all():
+            raise InternalMismatchError(
+                f"{len(ok) - int(ok.sum())} enumerated matrices failed "
+                f"bulk verification")
+    picked = [np.concatenate([np.empty(0, np.uint8)] + col) for col in picked]
+    found = oracle_hits(gf, picked).any(axis=1)
+    for vals, hit in zip(zip(*(v.tolist() for v in picked)), found):
+        mtx = Matrix(gf, [vals[0:3], vals[3:6], vals[6:9]])
+        if not (mtx.is_mds() and hit):
+            raise InternalMismatchError(
+                f"enumerated matrix {mtx!r} failed the scalar spot check")
+
+
 def _parametrized_groups(gf: GF):
     """Build every matrix from the S tuples crossed with all (x, y), one
     (a11, a22) group at a time in digit order, and yield each group's
-    (a11, a22), its sorted distinct keys and its tuple count.
+    (a11, a22), its sorted distinct keys and its tuple count, once its
+    matrices are verified.
 
-    A batch holds up to `_CHUNK // (q-1)^2` S tuples as (R, 1) columns,
-    crossed by broadcasting with the (1, (q-1)^2) row of all (x, y).
-    Its matrices are deduplicated by a uint32 key packing the seven
-    entries other than a11 and a22, which are the group's constants.
-    Each distinct matrix, unpacked from its key with a11 and a22 added
-    back, is verified semi-involutory (by the entry-level test) and MDS
-    in bulk: every built matrix is among them, since packing is
-    lossless.  Every `_SPOT_CHECK_STRIDE`-th matrix of the build order
-    is also checked by `Matrix.is_mds`, one at a time, and by the
-    literal diagonal search of `si.oracle_hits`, once per batch, which
-    finds no diagonal for a singular matrix.  Any failure raises
-    InternalMismatchError."""
+    A batch of up to `_CHUNK // (q-1)^2` S tuples lies on a (1, 1, R)
+    axis, innermost, crossed by broadcasting with x on a (q-1, 1, 1)
+    axis and y on a (1, q-1, 1) one, so each entry spans only the axes
+    it reads: a12 and a21 are (q-1, 1, R), a23 and a32 (1, q-1, R), and
+    only a13 and a31 span all (q-1)^2 R built matrices.  The matrices
+    are deduplicated by a uint32 key packing the seven entries other
+    than a11 and a22, which are the group's constants.  Every
+    `_SPOT_CHECK_STRIDE`-th matrix of the build order (tuple, x, y) is
+    picked for a spot check, its index split by divmod into the three
+    axes.  The groups are held until `_VERIFY_BATCH` distinct matrices
+    are pending, and at the end, then verified together by
+    `_verify_built`: every built matrix is among their distinct ones,
+    since packing is lossless."""
     f = bulk_ops(gf)
-    x, y = (g[None, :] for g in nonzero_grid(gf.q, 2))
-    nxy = x.shape[1]
-    row_batch = max(1, _CHUNK // nxy)
-    group = (gf.q - 1) ** 4
-    seen = 0
-    for lo in range(0, (gf.q - 1) ** 6, group):
+    base = gf.q - 1
+    (g,) = nonzero_grid(gf.q, 1)
+    x, y = g[:, None, None], g[None, :, None]
+    row_batch = max(1, _CHUNK // base ** 2)
+    group = base ** 4
+    seen = held = 0
+    pending, picked = [], [[] for _ in range(9)]
+    for lo in range(0, base ** 6, group):
         # (q-1)^4 <= 50,625 6-tuples at q <= 16, one `_CHUNK` at most;
         # the group's keys, (q-1)^2 times as many, bound the memory
-        cols = _digits(lo, lo + group, 6, gf.q - 1)
+        cols = _digits(lo, lo + group, 6, base)
         a11, a22 = int(cols[0][0]), int(cols[1][0])
         mask = _tuple_set_masks(f, cols, "S")
         s_cols = [col[mask] for col in cols]
         keys = [np.empty(0, np.uint32)]  # a group may hold no S tuple
         for start in range(0, len(s_cols[0]), row_batch):
-            six = [c[start:start + row_batch, None] for c in s_cols]
+            six = [c[None, None, start:start + row_batch] for c in s_cols]
             e = construction_entries(f, decisive_sums(f, *six), *six, x, y)
-            batch = _distinct(_pack_keys(e[1:4] + e[5:], gf.m))
-            d = _unpack_keys(batch, gf.m, 7)
-            d[0:0] = [np.full(len(batch), a11, np.uint8)]
-            d[4:4] = [np.full(len(batch), a22, np.uint8)]
-            ok = _nonzero(*d) & nowhere_zero_si(f, d) & _mds_mask(f, d)
-            if not ok.all():
-                raise InternalMismatchError(
-                    f"{len(ok) - int(ok.sum())} enumerated matrices failed "
-                    f"bulk verification")
-            shape = (len(six[0]), nxy)
-            built = shape[0] * nxy
-            at = np.unravel_index(
-                np.arange(-seen % _SPOT_CHECK_STRIDE, built, _SPOT_CHECK_STRIDE), shape)
-            picked = [np.broadcast_to(v, shape)[at] for v in e]
-            found = oracle_hits(gf, picked).any(axis=1)
-            for vals, hit in zip(zip(*(v.tolist() for v in picked)), found):
-                mtx = Matrix(gf, [vals[0:3], vals[3:6], vals[6:9]])
-                if not (mtx.is_mds() and hit):
-                    raise InternalMismatchError(
-                        f"enumerated matrix {mtx!r} failed the scalar spot check")
+            keys.append(_distinct(_pack_keys(e[1:4] + e[5:], gf.m)))
+            shape = (base, base, six[0].shape[2])
+            built = shape[2] * base ** 2
+            t, i, j = np.unravel_index(np.arange(
+                -seen % _SPOT_CHECK_STRIDE, built, _SPOT_CHECK_STRIDE), shape[::-1])
+            for col, v in zip(picked, e):
+                col.append(np.broadcast_to(v, shape)[i, j, t])
             seen += built
-            keys.append(batch)
-        yield (a11, a22), _distinct(np.concatenate(keys)), len(s_cols[0]) * nxy
+        keys = _distinct(np.concatenate(keys))
+        pending.append(((a11, a22), keys, len(s_cols[0]) * base ** 2))
+        held += len(keys)
+        if held >= _VERIFY_BATCH:
+            _verify_built(gf, f, pending, picked)
+            yield from pending
+            held, pending, picked = 0, [], [[] for _ in range(9)]
+    _verify_built(gf, f, pending, picked)
+    yield from pending
 
 
 def enumeration_stats(gf: GF, long_run: bool = False,
@@ -558,8 +610,8 @@ def enumeration_stats(gf: GF, long_run: bool = False,
     tuples collide on one matrix).  Every built matrix is verified as
     `_parametrized_groups` describes; a failure raises
     InternalMismatchError.  q = 16 needs `long_run`, else BudgetError.
-    `progress(fraction)` is called as each of the (q-1)^2 (a11, a22)
-    groups finishes."""
+    `progress(fraction)` is called for each of the (q-1)^2 (a11, a22)
+    groups once it is verified, so a few at a time at q = 8."""
     _require_char2_desk(gf)
     if gf.q > 8 and not long_run:
         raise BudgetError("q = 16 enumerates ~1.3e8 matrices and needs "
@@ -631,14 +683,17 @@ def _sweep_worker(args) -> tuple:
     being the OR of an element's planes.  Its lanes past the block's
     last 6-tuple are cleared, and each counter counts its set bits as
     if broadcast to (q-1, q-1, W), so it counts every 8-tuple whatever
-    axes the mask reads.  The minors are dropped once their masks are
-    formed, since seven of them span the full shape."""
+    axes the mask reads.  Seven of the nine minors span the full shape,
+    so no more than three are alive at once: the three on rows (1, 2)
+    make the determinant and are then dropped, and each other minor is
+    ANDed into the MDS mask as soon as it is formed."""
     gf, lo, hi = args
     f = plane_ops(gf)
     base = gf.q - 1
     (g,) = nonzero_grid(gf.q, 1)
     x, y = f.spread(g[:, None, None]), f.spread(g[None, :, None])
     step = 64 * _SWEEP_WORDS
+    pairs = ((0, 1), (0, 2), (1, 2))
     bad = [0] * 4
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
@@ -651,11 +706,14 @@ def _sweep_worker(args) -> tuple:
         e = construction_entries(f, sums, *six, x, y)
         # ADA = diag(s^2/d_i) identically; non-singular exactly when s != 0
         want_det, want_ada = det_and_ada(f, s, *d)
-        m = minors(f, e)
-        det = det3(f, e, m[6:])
-        mds_bad = _lanes_nonzero(det, *m) ^ _lanes_nonzero(*sums)
+        row12 = [minor(f, e, (1, 2), cols) for cols in pairs]
+        det = det3(f, e, row12)
         det_bad = _lanes_nonzero(det ^ want_det)
-        del m, det
+        mds = _lanes_nonzero(det, *row12)
+        del row12, det
+        for rows, cols in product(pairs[:2], pairs):
+            mds &= _lanes_nonzero(minor(f, e, rows, cols))
+        mds_bad = mds ^ _lanes_nonzero(*sums)
         zero_bad = _lanes_nonzero(*e) ^ _lanes_nonzero(s12, s13, s23)
         da = [f.mul(d[k], e[3 * k + j]) for k in range(3) for j in range(3)]
         ada_bad = np.zeros(full, dtype=np.uint64)

@@ -718,11 +718,26 @@ def test_spot_checks_follow_build_order(gf8b, built_keys_gf8b, monkeypatch):
     assert keys == built_keys_gf8b[::4096].tolist()
 
 
+def test_enumeration_products_per_tuple(gf8b, monkeypatch):
+    """Each entry the enumeration builds spans only the axes it reads,
+    so of the six off-diagonal entries only a13 and a31 are formed for
+    every (tuple, x, y); with the bulk checks on the distinct matrices
+    and the batched literal search on the spot checks, the enumeration
+    takes at most 9 products per built tuple at q = 8 (8.61), where
+    forming all six over a flat (x, y) row took 12.04."""
+    sizes = _count_mul_elements(bulk_ops(gf8b), monkeypatch)
+    stats = enumeration_stats(gf8b)
+    assert stats.distinct == 403368
+    assert sum(sizes) <= 9 * stats.tuple_count
+
+
 def test_sweep_and_enumeration_traced_peaks(gf8b):
-    """At q = 8 the sweep's blocks of 2^16 8-tuples peak at most 2 MB
-    of traced allocations (9.0 MB with blocks of 2^18, 2.2 MB while
-    `bulk_ops`' mul copied each uint8 index to intp), and the
-    enumeration, with 32-bit group keys, at most 2 MB."""
+    """At q = 8 the sweep's blocks of 104 packed words (6,656 6-tuples
+    crossed with all 49 (x, y)) peak at 1.80 MB of traced allocations,
+    with at most three of the nine minors alive at once, and the
+    enumeration, which holds up to 2^15 distinct matrices (four
+    (a11, a22) groups' 32-bit keys) before it verifies them together,
+    at 1.19 MB.  Both stay under 2 MB."""
     for run, bound in ((lambda: sweep_parameter_space(gf8b).clean, 2.0),
                        (lambda: enumeration_stats(gf8b).distinct == 403368, 2.0)):
         tracemalloc.start()
@@ -947,6 +962,27 @@ def test_one_faulty_tuple_fails_bulk_verification(gf8b, monkeypatch):
         enumeration_stats(gf8b)
 
 
+def test_no_group_is_yielded_before_it_is_verified(gf8b, monkeypatch):
+    """The groups are verified a few at a time, and the first one is
+    held back until its matrices pass: with one entry of the first batch
+    corrupted, asking for the first group raises."""
+    calls = []
+
+    def one_fault(f, sums, *params):
+        e = construction_entries(f, sums, *params)
+        calls.append(None)
+        if len(calls) == 1:
+            shape = np.broadcast_shapes(*(np.shape(v) for v in e))
+            a12 = np.array(np.broadcast_to(e[1], shape))
+            a12.flat[0] = gf8b.mul(int(a12.flat[0]), 2)
+            e[1] = a12
+        return e
+
+    monkeypatch.setattr(census, "construction_entries", one_fault)
+    with pytest.raises(InternalMismatchError, match="bulk verification"):
+        next(census._parametrized_groups(gf8b))
+
+
 def test_distinct_equals_unique():
     rng = np.random.default_rng(2024)
     rand = np.concatenate([rng.integers(0, 2 ** 64, 2997, dtype=np.uint64),
@@ -959,6 +995,26 @@ def test_distinct_equals_unique():
         assert got.dtype == keys.dtype
         assert np.array_equal(got, np.unique(keys))
     assert census._distinct(rand)[-1] == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_pack_keys_on_mixed_broadcast_shapes(m):
+    """Entries on the enumeration's axes, x by y by tuples, in its key
+    order and reversed: the key of each element is the literal fold
+    key << m | v over its entries, the first in the top bits, whichever
+    entries span the full grid."""
+    rng = np.random.default_rng(m)
+    r = 5
+    shapes = [(7, 1, r), (7, 7, r), (7, 1, r), (1, 7, r), (7, 7, r), (1, 7, r), (1, 1, r)]
+    for order in (shapes, shapes[::-1]):
+        e = [rng.integers(0, 2 ** m, shape, dtype=np.uint8) for shape in order]
+        keys = _pack_keys(e, m)
+        assert keys.dtype == np.uint32 and keys.shape == (7, 7, r)
+        for idx in np.ndindex(keys.shape):
+            want = 0
+            for v in e:
+                want = want << m | int(np.broadcast_to(v, keys.shape)[idx])
+            assert int(keys[idx]) == want
 
 
 def test_pack_keys_rejects_keys_wider_than_32_bits():
