@@ -19,13 +19,13 @@ from .construct import (SiParams, SumConditions, build_matrix,
 from .errors import BudgetError, InternalMismatchError
 from .field import GF, validate_modulus
 from .matrix import Diagonal, Matrix
-from .si import (SiVerdict, associated_diagonals, associated_scalar,
-                 canonical_witness, si_check_3x3, si_oracle)
+from .si import (SiVerdict, associated_diagonals, canonical_witness,
+                 si_check_3x3, si_oracle)
 
 __all__ = [
     "GF", "validate_modulus", "Matrix", "Diagonal",
     "SiVerdict", "si_oracle", "si_check_3x3",
-    "associated_diagonals", "associated_scalar", "canonical_witness",
+    "associated_diagonals", "canonical_witness",
     "SiParams", "SumConditions", "build_matrix", "sum_conditions",
     "predicted_invariants", "minor_formulas", "extract_xy",
     "curupira_matrix", "curupira_is_mds",

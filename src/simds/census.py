@@ -64,8 +64,8 @@ partitioning; the enumeration runs in one process.  The
 tuple sets, the enumeration and the sweep take the construction's sums,
 entries, det and A D A diagonal from `construct`; the exhaustive matrix
 census reads none of them and judges semi-involutory matrices by the
-entry-level test's conditions in `si`.  Minors and determinants come
-from `matrix`.
+entry-level test's conditions in `si`.  Minors, determinants and
+matrix products come from `matrix`.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from ._tables import _CHUNK, _digits, bulk_ops, nonzero_grid, plane_ops
 from .construct import construction_entries, decisive_sums, det_and_ada
 from .errors import BudgetError, InternalMismatchError
 from .field import GF
-from .matrix import Matrix, det3, minor, minors
+from .matrix import Matrix, det3, dot, minor, minors
 from .si import (nowhere_zero_si, oracle_hits, product_det_terms,
                  triangle_products_agree)
 
@@ -204,7 +204,7 @@ def distinct_diag_inner_count(gf: GF, a11: int, a22: int, a33: int) -> int:
     are; `_distinct_diag_inner_formula` is its closed form."""
     _require_char2_desk(gf)
     d1, d2, d3 = nonzero_grid(gf.q, 3)
-    ok = _nonzero(*decisive_sums(bulk_ops(gf), a11, a22, a33, d1, d2, d3))
+    ok = _tuple_set_masks(bulk_ops(gf), (a11, a22, a33, d1, d2, d3), "S")
     return int(np.count_nonzero(ok & (d1 != d2) & (d1 != d3) & (d2 != d3)))
 
 
@@ -235,8 +235,7 @@ def _mds_mask(f, e) -> np.ndarray:
 
 def _product_entry(f, a, b, i: int, j: int) -> np.ndarray:
     """Entry (i, j) of A B: row i of A times column j of B."""
-    return (f.mul(a[3 * i], b[j]) ^ f.mul(a[3 * i + 1], b[3 + j])
-            ^ f.mul(a[3 * i + 2], b[6 + j]))
+    return dot(f, (a[3 * i + k] for k in range(3)), (b[3 * k + j] for k in range(3)))
 
 
 # -- exhaustive matrix census -------------------------------------------

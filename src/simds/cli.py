@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "parametrized enumeration")
     p.add_argument("--long-run", action="store_true",
                    help="allow the q=16 parametrized enumeration "
-                        "(about 2 minutes)")
+                        "(about 67 s on one core)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--progress", action="store_true",
                    help="report progress on stderr")

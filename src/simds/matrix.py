@@ -5,11 +5,12 @@ field; every operation returns a new object, so they are safe to share
 between parallel workers.  Determinants use closed-form cofactor
 expansion at 2x2 and 3x3 (the hot sizes here) and Gaussian elimination
 otherwise; inverses use Gauss-Jordan elimination at every size.  The 2x2
-and 3x3 forms, `det2`, `minor` and `det3`, are written over a field
-argument `f`, so the same lines judge one matrix of ints (f = gf) and
-arrays of matrices (f = `_tables.bulk_ops(gf)`, or the bit planes of
-f = `_tables.plane_ops(gf)`).  `is_mds` takes
-each minor's `_det` from plain rows.
+and 3x3 forms, `det2`, `minor` and `det3`, and the sum of products
+`dot`, which every matrix product here is made of, are written over a
+field argument `f`, so the same lines judge one matrix of ints (f = gf)
+and arrays of matrices (f = `_tables.bulk_ops(gf)`, or the bit planes
+of f = `_tables.plane_ops(gf)`).  `is_mds` takes each minor's `_det`
+from plain rows.
 
 CHECK_BUDGET, fixed at 4096, caps the work of a single-matrix check: the
 minors `is_mds` examines, the diagonals `si.associated_diagonals`
@@ -27,13 +28,6 @@ from .errors import BudgetError
 from .field import GF, json_ints
 
 CHECK_BUDGET = 4096
-
-
-def check_permutation(perm, n: int) -> tuple:
-    perm = tuple(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    return perm
 
 
 class Matrix:
@@ -77,9 +71,8 @@ class Matrix:
             return NotImplemented
         if other.gf != gf or other.n != self.n:
             raise ValueError("dimension or field mismatch")
-        n = self.n
-        bt = other.transpose().rows
-        return Matrix(gf, [[_dot(gf, row, col) for col in bt] for row in self.rows])
+        cols = list(zip(*other.rows))
+        return Matrix(gf, [[dot(gf, row, col) for col in cols] for row in self.rows])
 
     def transpose(self) -> "Matrix":
         return Matrix(self.gf, list(zip(*self.rows)))
@@ -132,12 +125,6 @@ class Matrix:
     def is_involutory(self) -> bool:
         return self @ self == Matrix.identity(self.gf, self.n)
 
-    def conjugate(self, perm) -> "Matrix":
-        """Simultaneous row/column permutation P A P^T."""
-        perm = check_permutation(perm, self.n)
-        return Matrix(self.gf, [[self.rows[perm[i]][perm[j]] for j in range(self.n)]
-                                for i in range(self.n)])
-
     def is_reducible(self) -> bool:
         """True iff some P A P^T is block upper triangular with a zero
         lower-left block: iff the graph with an edge i -> j for each
@@ -189,20 +176,8 @@ class Diagonal:
     def nonsingular(self) -> bool:
         return 0 not in self.entries
 
-    def as_matrix(self) -> Matrix:
-        n = len(self.entries)
-        return Matrix(self.gf, [[self.entries[i] if i == j else 0 for j in range(n)]
-                                for i in range(n)])
-
-    def inverse(self) -> "Diagonal":
-        return Diagonal(self.gf, [self.gf.inv(v) for v in self.entries])
-
     def __matmul__(self, other):
         gf = self.gf
-        if isinstance(other, Diagonal):
-            if other.gf != gf or len(other.entries) != len(self.entries):
-                raise ValueError("dimension or field mismatch")
-            return Diagonal(gf, [gf.mul(a, b) for a, b in zip(self.entries, other.entries)])
         if not isinstance(other, Matrix):
             return NotImplemented
         if other.gf != gf or other.n != len(self.entries):
@@ -280,8 +255,13 @@ def _det(gf: GF, rows) -> int:
     return det
 
 
-def _dot(gf: GF, u, v) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        acc = gf.add(acc, gf.mul(a, b))
-    return acc
+def dot(f, u, v):
+    """sum_k u_k v_k over the field argument f, for non-empty u and v of
+    equal length; the first product starts the sum, so n terms cost n
+    products and n - 1 additions."""
+    pairs = zip(u, v)
+    a, b = next(pairs)
+    s = f.mul(a, b)
+    for a, b in pairs:
+        s = f.add(s, f.mul(a, b))
+    return s

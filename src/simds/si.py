@@ -35,7 +35,7 @@ import numpy as np
 from ._tables import _CHUNK, bulk_ops, nonzero_grid
 from .errors import BudgetError, InternalMismatchError
 from .field import GF, TABLE_MAX_Q
-from .matrix import CHECK_BUDGET, Diagonal, Matrix, det2
+from .matrix import CHECK_BUDGET, Diagonal, Matrix, det2, dot
 
 BRANCH_REDUCIBLE = "reducible-form"
 BRANCH_SINGLE_ZERO = "single-zero"
@@ -82,14 +82,6 @@ def _ada_coefficients(A: Matrix):
     return [[_ada_cell(A, i, j) for j in range(A.n)] for i in range(A.n)]
 
 
-def _ada_entry(f, t, d):
-    """(ADA)_ij = sum_k t_k d_k, for t the coefficients of cell (i, j)."""
-    s = f.mul(t[0], d[0])
-    for tk, dk in zip(t[1:], d[1:]):
-        s = f.add(s, f.mul(tk, dk))
-    return s
-
-
 def associated_diagonals(A: Matrix) -> list[tuple]:
     """All non-singular diagonals D with ADA diagonal and non-singular,
     in ascending lexicographic order of the diagonal entries.
@@ -110,7 +102,7 @@ def associated_diagonals(A: Matrix) -> list[tuple]:
     coeff = _ada_coefficients(A)
     cells = [(i, j) for i in range(n) for j in range(n)]
     return [d for d in product(gf.elements(True), repeat=n)
-            if all((_ada_entry(gf, coeff[i][j], d) != 0) == (i == j)
+            if all((dot(gf, coeff[i][j], d) != 0) == (i == j)
                    for i, j in cells)]
 
 
@@ -147,7 +139,7 @@ def _least_witness(A: Matrix) -> tuple | None:
         d3s = ([gf.mul(scale, gf.add(pivot[0], gf.mul(pivot[1], d2)))]
                if pivot else gf.elements(True)[:4])
         for d in ((1, d2, d3) for d3 in d3s if d3):
-            if all((_ada_entry(gf, c, d) != 0) == on for c, on in cells):
+            if all((dot(gf, c, d) != 0) == on for c, on in cells):
                 return d
     return None
 
@@ -212,7 +204,7 @@ def _witness_scalars(A: Matrix, d: tuple) -> tuple:
     D1 = c D2 for the derived pair) and a = c^{-1} = s.  Only the n
     diagonal cells are formed, n^2 products."""
     gf = A.gf
-    ss = {gf.mul(d[i], _ada_entry(gf, _ada_cell(A, i, i), d))
+    ss = {gf.mul(d[i], dot(gf, _ada_cell(A, i, i), d))
           for i in range(A.n)}
     if len(ss) != 1:
         raise InternalMismatchError("associated scalar is not constant on an "
@@ -331,8 +323,7 @@ def _block_form_si(f, e):
                 return True
             if a:
                 y1, y2 = f.mul(d, x1), f.mul(f.neg(a), x2)
-                u1 = f.add(f.mul(a, y1), f.mul(b, y2))
-                u2 = f.add(f.mul(c, y1), f.mul(d, y2))
+                u1, u2 = dot(f, (a, b), (y1, y2)), dot(f, (c, d), (y1, y2))
                 if det2(f, u1, x1, u2, x2) == 0:
                     return True
     return False
@@ -397,20 +388,3 @@ def si_check_3x3(A: Matrix) -> SiVerdict:
         return SiVerdict(True, branch, d, c, a)
     c, a = _witness_scalars(A, d)
     return SiVerdict(True, branch, d, c, a)
-
-
-def associated_scalar(A: Matrix, D1: Diagonal, D2: Diagonal) -> int:
-    """The non-zero c with D1 = c D2, given that A^{-1} = D1 A D2.
-
-    Both preconditions are verified: the inverse identity is checked by
-    multiplying back to the identity, and the entrywise ratios of the
-    two diagonals must agree."""
-    gf = A.gf
-    if not (D1.nonsingular and D2.nonsingular):
-        raise ValueError("diagonals must be non-singular")
-    if (A @ ((D1 @ A) @ D2)) != Matrix.identity(gf, A.n):
-        raise ValueError("A^{-1} = D1 A D2 does not hold")
-    ratios = {gf.div(u, v) for u, v in zip(D1.entries, D2.entries)}
-    if len(ratios) != 1:
-        raise ValueError("D1 is not a scalar multiple of D2")
-    return ratios.pop()

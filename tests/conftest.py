@@ -4,7 +4,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from simds import GF
+from simds import GF, Matrix
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +39,13 @@ def gf16b():
 @pytest.fixture(scope="session")
 def f11():
     return GF(11)
+
+
+@pytest.fixture(scope="session")
+def permuted():
+    """P A P^T for a permutation `perm` of the indices: entry (i, j) is
+    a_{perm i, perm j}."""
+    return lambda A, perm: Matrix(A.gf, [[A.rows[i][j] for j in perm] for i in perm])
 
 
 @pytest.fixture

@@ -46,7 +46,7 @@ def test_build_gf16_example(gf16b):
     assert ada == (7, 7, 9)
     assert A.det() == det
     D = p.diag
-    assert (A @ D) @ A == Diagonal(gf16b, ada).as_matrix()
+    assert ((A @ D) @ A).rows == ((7, 0, 0), (0, 7, 0), (0, 0, 9))
 
 
 def test_sum_conditions_cancellation(gf8):
@@ -169,7 +169,8 @@ def test_soundness_exhaustive_gf4(gf4):
             assert det == 0
             continue
         prod = (A @ p.diag) @ A
-        assert prod == Diagonal(gf4, ada).as_matrix()
+        assert prod.rows == tuple(tuple(v if i == j else 0 for j in range(3))
+                                  for i, v in enumerate(ada))
         assert si_oracle(A).si
         assert A.is_mds() == sc.all_nonzero
 

@@ -46,8 +46,6 @@ def test_mul_examples(gf4):
     A = Matrix(gf4, [[1, 2], [3, 2]])
     assert (A @ Diagonal(gf4, [2, 1])).rows == ((2, 2), (1, 2))
     assert A @ Matrix.identity(gf4, 2) == A
-    D = Diagonal(gf4, [2, 3]) @ Diagonal(gf4, [3, 1])
-    assert D.entries == (gf4.mul(2, 3), gf4.mul(3, 1))
 
 
 def test_mul_mismatch(gf4, gf8):
@@ -68,8 +66,6 @@ def test_inverse_examples(gf4):
     assert A.inverse() == Matrix(gf4, [[3, 3], [1, 2]])
     I = Matrix.identity(gf4, 3)
     assert I.inverse() == I
-    D = Diagonal(gf4, [2, 1])
-    assert D.as_matrix().inverse() == Diagonal(gf4, [3, 1]).as_matrix()
 
 
 def test_inverse_singular(gf4):
@@ -105,17 +101,6 @@ def test_involutory_fixture(gf16a, gf16b, gf8):
         assert not bad.is_mds()
     assert not Matrix(gf8, [[6, 1, 5], [1, 6, 3], [5, 3, 6]]).is_involutory()
     assert Matrix.identity(gf8, 3).is_involutory()
-
-
-def test_conjugate(gf4):
-    A = Matrix(gf4, [[1, 2], [3, 0]])
-    assert A.conjugate((0, 1)) == A
-    assert A.conjugate((1, 0)).rows == ((0, 3), (2, 1))
-    B = Matrix(gf4, [[1, 2, 3], [2, 0, 1], [3, 3, 2]])
-    for perm in itertools.permutations(range(3)):
-        assert B.conjugate(perm).det() == B.det()
-    with pytest.raises(ValueError):
-        B.conjugate((0, 0, 1))
 
 
 def reducible_by_permutations(A):
@@ -273,14 +258,14 @@ def test_is_mds_builds_no_matrix(monkeypatch, gf8):
     assert [A.is_mds() for A in samples] == verdicts
 
 
-def test_mds_invariance(gf4):
+def test_mds_invariance(gf4, permuted):
     for A in all_matrices(gf4, 3):
         if not all(v for row in A.rows for v in row):
             continue
         verdict = A.is_mds()
         assert A.transpose().is_mds() == verdict
         for perm in ((1, 0, 2), (2, 0, 1)):
-            assert A.conjugate(perm).is_mds() == verdict
+            assert permuted(A, perm).is_mds() == verdict
 
 
 def test_mds_implies_irreducible(gf4):
@@ -312,4 +297,3 @@ def test_entry_validation(gf4):
 def test_diagonal_flags(gf4):
     assert Diagonal(gf4, [1, 2, 3]).nonsingular
     assert not Diagonal(gf4, [1, 0, 3]).nonsingular
-    assert Diagonal(gf4, [2, 3]).inverse().entries == (3, 2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from simds import (GF, BudgetError, Diagonal, Matrix, SiParams,
-                   associated_diagonals, associated_scalar, build_matrix,
+                   associated_diagonals, build_matrix,
                    canonical_witness, si_check_3x3, si_oracle,
                    sum_conditions)
 from simds._tables import bulk_ops
@@ -209,26 +209,6 @@ def test_si_product_det_nonzero_for_non_si(gf8):
     assert seen_nonzero > 100
 
 
-def test_associated_scalar(gf8, gf4, f11):
-    D = Diagonal(gf8, [7, 6, 3])
-    A = Matrix(gf8, [[6, 1, 5], [1, 6, 3], [5, 3, 6]])
-    assert associated_scalar(A, D, D) == 1
-    A2 = Matrix(gf4, [[1, 2], [3, 2]])
-    assert associated_scalar(A2, Diagonal(gf4, [2, 1]), Diagonal(gf4, [2, 1])) == 1
-    Af = Matrix(f11, [[7, 3], [4, 2]])
-    assert associated_scalar(Af, Diagonal(f11, [4, 8]), Diagonal(f11, [2, 4])) == 2
-
-
-def test_associated_scalar_errors(gf8, f11):
-    A = Matrix(gf8, [[6, 1, 5], [1, 6, 3], [5, 3, 6]])
-    with pytest.raises(ValueError):
-        associated_scalar(A, Diagonal(gf8, [1, 1, 1]), Diagonal(gf8, [1, 1, 1]))
-    Af = Matrix(f11, [[7, 3], [4, 2]])
-    # inverse identity holds only for the matching pair
-    with pytest.raises(ValueError):
-        associated_scalar(Af, Diagonal(f11, [4, 8]), Diagonal(f11, [2, 5]))
-
-
 def test_block_form_branch(gf4):
     # block diagonal: x = 0, B semi-involutory
     A = Matrix(gf4, [[1, 2, 0], [3, 2, 0], [0, 0, 1]])
@@ -313,7 +293,7 @@ def test_witness_validity_gf4():
             assert A.inverse() == scaled
 
 
-def test_closure_gf4():
+def test_closure_gf4(permuted):
     """Transpose, inverse, permutation conjugation and diagonal
     sandwiches preserve the semi-involutory property."""
     perms = [(1, 0, 2), (2, 0, 1)]
@@ -323,12 +303,12 @@ def test_closure_gf4():
         assert si_check_3x3(A.transpose()).si
         assert si_check_3x3(A.inverse()).si
         for perm in perms:
-            assert si_check_3x3(A.conjugate(perm)).si
+            assert si_check_3x3(permuted(A, perm)).si
         for D, E in sandwiches:
             assert si_check_3x3((D @ A) @ E).si
 
 
-def test_closure_gf8_samples(gf8):
+def test_closure_gf8_samples(gf8, permuted):
     rng = random.Random(13)
     found = []
     while len(found) < 60:
@@ -342,7 +322,7 @@ def test_closure_gf8_samples(gf8):
         assert si_check_3x3(A).si
         assert si_check_3x3(A.transpose()).si
         assert si_check_3x3(A.inverse()).si
-        assert si_check_3x3(A.conjugate((2, 1, 0))).si
+        assert si_check_3x3(permuted(A, (2, 1, 0))).si
         assert si_check_3x3((D @ A) @ E).si
 
 
