@@ -16,9 +16,10 @@ with an independent brute-force verifier at desk scale:
   entries into 32 bits, and memory is bounded by one group's keys.
   The distinct matrices of a few groups at a time (2^15 or more) are
   verified together in bulk by the entry-level test, and every 4096th
-  matrix of the build order by `Matrix.is_mds` and by the independent
-  literal diagonal search, batched as `si.oracle_hits`, before those
-  groups are reported;
+  matrix of the build order by the independent literal diagonal
+  search, batched as `si.oracle_hits`, and by `matrix.mds`, the
+  all-minors test of `Matrix.is_mds` over arrays, before those groups
+  are reported;
 * the exhaustive matrix census, which judges all (q-1)^9 nowhere-zero
   3x3 matrices and counts the semi-involutory MDS (or involutory MDS)
   ones with no reference to the construction.  It fixes the entries in
@@ -82,7 +83,7 @@ from ._tables import _CHUNK, _digits, bulk_ops, nonzero_grid, plane_ops
 from .construct import construction_entries, decisive_sums, det_and_ada
 from .errors import BudgetError, InternalMismatchError
 from .field import GF
-from .matrix import Matrix, det3, dot, minor, minors
+from .matrix import det3, dot, mds, minor, minors
 from .si import (nowhere_zero_si, oracle_hits, product_det_terms,
                  triangle_products_agree)
 
@@ -519,10 +520,12 @@ def _verify_built(gf: GF, f, groups: list, picked: list) -> None:
 
     The keys are unpacked, with each group's a11 and a22 added back, and
     judged semi-involutory (by the entry-level test) and MDS in bulk, in
-    blocks of `_CHUNK` matrices.  The spot checks are judged by the
-    literal diagonal search of `si.oracle_hits`, in one call, which
-    finds no diagonal for a singular matrix, and by `Matrix.is_mds`, one
-    at a time."""
+    blocks of `_CHUNK` matrices.  The spot checks are judged together,
+    in one call each, by the literal diagonal search of
+    `si.oracle_hits`, which finds no diagonal for a singular matrix, and
+    by `matrix.mds`, which forms every minor from the entries and shares
+    nothing with `_mds_mask`; the error names how many failed and the
+    first."""
     keys = np.concatenate([np.empty(0, np.uint32)] + [k for _, k, _ in groups])
     sizes = [len(k) for _, k, _ in groups]
     fixed = [np.repeat(np.array([g[i] for g, _, _ in groups], np.uint8), sizes)
@@ -537,12 +540,12 @@ def _verify_built(gf: GF, f, groups: list, picked: list) -> None:
                 f"{len(ok) - int(ok.sum())} enumerated matrices failed "
                 f"bulk verification")
     picked = [np.concatenate([np.empty(0, np.uint8)] + col) for col in picked]
-    found = oracle_hits(gf, picked).any(axis=1)
-    for vals, hit in zip(zip(*(v.tolist() for v in picked)), found):
-        mtx = Matrix(gf, [vals[0:3], vals[3:6], vals[6:9]])
-        if not (mtx.is_mds() and hit):
-            raise InternalMismatchError(
-                f"enumerated matrix {mtx!r} failed the scalar spot check")
+    rows = [picked[0:3], picked[3:6], picked[6:9]]
+    ok = oracle_hits(gf, picked).any(axis=1) & mds(f, rows)
+    if not ok.all():
+        first = [[int(v[~ok][0]) for v in row] for row in rows]
+        raise InternalMismatchError(f"{len(ok) - int(ok.sum())} of {len(ok)} spot-checked "
+                                    f"matrices failed the oracle or MDS test, first {first}")
 
 
 def _parametrized_groups(gf: GF):

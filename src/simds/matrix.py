@@ -9,11 +9,12 @@ and 3x3 forms, `det2`, `minor` and `det3`, and the sum of products
 `dot`, which every matrix product here is made of, are written over a
 field argument `f`, so the same lines judge one matrix of ints (f = gf)
 and arrays of matrices (f = `_tables.bulk_ops(gf)`, or the bit planes
-of f = `_tables.plane_ops(gf)`).  `is_mds` takes each minor's `_det`
-from plain rows.
+of f = `_tables.plane_ops(gf)`).  So is `mds`, the all-minors MDS test
+behind `Matrix.is_mds`, which takes each minor's `_det` from plain rows
+and judges a batch of 3x3 matrices, over arrays, as it judges one.
 
 CHECK_BUDGET, fixed at 4096, caps the work of a single-matrix check: the
-minors `is_mds` examines, the diagonals `si.associated_diagonals`
+minors `mds` examines, the diagonals `si.associated_diagonals`
 searches, the values of d2 the 3x3 witness walk `si._least_witness`
 visits, and the n^2 entries `simds check` accepts (n <= 64) before its
 O(n^3) determinant and involution test, so a check ends in bounded time
@@ -99,28 +100,9 @@ class Matrix:
         return Matrix(gf, [row[n:] for row in a])
 
     def is_mds(self) -> bool:
-        """True iff every square submatrix of every order is non-singular.
-
-        The n^2 entries count as the 1x1 minors.  Raises BudgetError
-        rather than examine more than CHECK_BUDGET minors, which
-        covers all C(2n, n) - 1 of them for every n <= 7.
-        """
-        gf, r, n = self.gf, self.rows, self.n
-        if any(0 in row for row in r):
-            return False
-        examined = n * n
-        idx = range(n)
-        for size in range(2, n + 1):
-            for rs in combinations(idx, size):
-                for cs in combinations(idx, size):
-                    examined += 1
-                    if examined > CHECK_BUDGET:
-                        raise BudgetError(f"the MDS test of a {n}x{n} matrix "
-                                          f"examines more than "
-                                          f"{CHECK_BUDGET} minors")
-                    if _det(gf, [[r[i][j] for j in cs] for i in rs]) == 0:
-                        return False
-        return True
+        """True iff every square submatrix of every order is non-singular;
+        see `mds`."""
+        return bool(mds(self.gf, self.rows))
 
     def is_involutory(self) -> bool:
         return self @ self == Matrix.identity(self.gf, self.n)
@@ -229,8 +211,9 @@ def det3(f, e, row12=None):
     return f.add(f.sub(f.mul(e[0], m12), f.mul(e[1], m02)), f.mul(e[2], m01))
 
 
-def _det(gf: GF, rows) -> int:
-    """Determinant of a square list of rows, in closed form at n = 2, 3."""
+def _det(gf, rows):
+    """Determinant of a square list of rows, in closed form at n = 2, 3,
+    where `gf` may be any field argument and the entries arrays."""
     n = len(rows)
     if n == 2:
         return det2(gf, *rows[0], *rows[1])
@@ -253,6 +236,34 @@ def _det(gf: GF, rows) -> int:
                 for c in range(col, n):
                     a[r][c] = gf.sub(a[r][c], gf.mul(f, a[col][c]))
     return det
+
+
+def mds(f, rows):
+    """Whether every square submatrix of every order of the n x n matrix
+    `rows` is non-singular, the n^2 entries counting as the 1x1 minors
+    and each larger minor judged by its `_det`: a bool over ints
+    (f = gf), or the mask of a batch over equal-shape arrays of entries
+    (f = `_tables.bulk_ops(gf)`, n <= 3, where `_det` is closed-form).
+    Over ints, a zero entry or minor ends the test before the next minor
+    is examined.  Raises BudgetError rather than examine more than
+    CHECK_BUDGET minors, which covers all C(2n, n) - 1 of them for
+    every n <= 7."""
+    n = len(rows)
+    ok, examined = True, n * n
+    for row in rows:
+        for v in row:
+            ok = ok & (v != 0)
+    for size in range(2, n + 1):
+        for rs in combinations(range(n), size):
+            for cs in combinations(range(n), size):
+                if ok is False:
+                    return False
+                examined += 1
+                if examined > CHECK_BUDGET:
+                    raise BudgetError(f"the MDS test of a {n}x{n} matrix examines "
+                                      f"more than {CHECK_BUDGET} minors")
+                ok = ok & (_det(f, [[rows[i][j] for j in cs] for i in rs]) != 0)
+    return ok
 
 
 def dot(f, u, v):

@@ -77,9 +77,13 @@ def _ada_cell(A: Matrix, i: int, j: int) -> tuple:
     return tuple(gf.mul(r[i][k], r[k][j]) for k in range(A.n))
 
 
-def _ada_coefficients(A: Matrix):
-    """`_ada_cell` for every cell (i, j), row by row."""
-    return [[_ada_cell(A, i, j) for j in range(A.n)] for i in range(A.n)]
+def _ada_coefficients(A: Matrix) -> list:
+    """(`_ada_cell`, on the diagonal) for every cell (i, j), the
+    off-diagonal cells first, each group row by row: a cell that must
+    vanish rejects most diagonals, so a search tests those first."""
+    n = A.n
+    return sorted(((_ada_cell(A, i, j), i == j) for i in range(n) for j in range(n)),
+                  key=lambda c: c[1])
 
 
 def associated_diagonals(A: Matrix) -> list[tuple]:
@@ -99,11 +103,9 @@ def associated_diagonals(A: Matrix) -> list[tuple]:
         grid = nonzero_grid(gf.q, n)
         return [tuple(int(col[h]) for col in grid) for h in hits]
     _search_width(gf.q, n)
-    coeff = _ada_coefficients(A)
-    cells = [(i, j) for i in range(n) for j in range(n)]
+    cells = _ada_coefficients(A)
     return [d for d in product(gf.elements(True), repeat=n)
-            if all((dot(gf, coeff[i][j], d) != 0) == (i == j)
-                   for i, j in cells)]
+            if all((dot(gf, c, d) != 0) == on for c, on in cells)]
 
 
 def _search_width(q: int, free: int) -> int:
@@ -129,9 +131,7 @@ def _least_witness(A: Matrix) -> tuple | None:
     when q - 1 exceeds `CHECK_BUDGET`."""
     gf = A.gf
     _search_width(gf.q, 1)
-    t = _ada_coefficients(A)
-    cells = sorted(((t[i][j], i == j) for i in range(3) for j in range(3)),
-                   key=lambda c: c[1])
+    cells = _ada_coefficients(A)
     pivot = next((c for c, on in cells if not on and c[2]), None)
     if pivot:
         scale = gf.neg(gf.inv(pivot[2]))

@@ -936,8 +936,30 @@ def test_broken_construction_fails_scalar_spot_check(gf8b, monkeypatch):
     monkeypatch.setattr(census, "construction_entries", _swap_a12_a13)
     monkeypatch.setattr(census, "nowhere_zero_si", blind)
     monkeypatch.setattr(census, "_mds_mask", blind)
-    with pytest.raises(InternalMismatchError, match="scalar spot check"):
+    with pytest.raises(InternalMismatchError, match="spot-checked matrices failed"):
         enumeration_stats(gf8b)
+
+
+def test_spot_check_mds_half_fails_alone(gf8b):
+    """The spot checks' MDS test catches a matrix that the literal
+    diagonal search accepts: the identity, semi-involutory but not
+    MDS."""
+    identity = [[np.array([int(k % 4 == 0)], np.uint8)] for k in range(9)]
+    assert oracle_hits(gf8b, [col[0] for col in identity]).any()
+    with pytest.raises(InternalMismatchError,
+                       match=r"1 of 1 spot-checked .* first \[\[1, 0, 0\], \[0, 1, 0\]"):
+        census._verify_built(gf8b, bulk_ops(gf8b), [], identity)
+
+
+def test_enumeration_builds_no_matrix(gf8b, monkeypatch):
+    """The enumeration, spot checks included, judges its matrices as
+    arrays and constructs no `Matrix`."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the enumeration constructed a Matrix")
+
+    monkeypatch.setattr(Matrix, "__init__", forbidden)
+    stats = enumeration_stats(gf8b)
+    assert (stats.distinct, stats.tuple_count) == (403368, 2823576)
 
 
 def test_one_faulty_tuple_fails_bulk_verification(gf8b, monkeypatch):

@@ -2,9 +2,12 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from simds import GF, BudgetError, Diagonal, Matrix
+from simds._tables import bulk_ops
+from simds.matrix import mds
 
 
 def all_matrices(gf, n):
@@ -256,6 +259,32 @@ def test_is_mds_builds_no_matrix(monkeypatch, gf8):
 
     monkeypatch.setattr(Matrix, "__init__", forbidden)
     assert [A.is_mds() for A in samples] == verdicts
+
+
+def test_mds_over_arrays_matches_is_mds(gf4, gf8, gf16a):
+    """`mds` over arrays judges a batch as `Matrix.is_mds` judges each
+    matrix: all 4^9 matrices over GF(4) in one call, and seeded GF(8)
+    and GF(16) batches of matrices with zero entries, nowhere-zero ones
+    and singular rank-one ones u v^T."""
+    e = np.indices((4,) * 9, dtype=np.uint8).reshape(9, -1)
+    batches = [(gf4, e.T.tolist())]
+    rng = random.Random(71)
+    for gf in (gf8, gf16a):
+        rand = [[rng.randrange(low, gf.q) for _ in range(9)]
+                for low in (0, 1) for _ in range(400)]
+        uv = [[rng.randrange(1, gf.q) for _ in range(3)] for _ in range(80)]
+        rank1 = [[gf.mul(u[i], v[j]) for i in range(3) for j in range(3)]
+                 for u, v in zip(uv[::2], uv[1::2])]
+        batches.append((gf, rand + rank1))
+    for gf, flat in batches:
+        matrices = [Matrix(gf, [v[0:3], v[3:6], v[6:9]]) for v in flat]
+        want = [A.is_mds() for A in matrices]
+        cols = np.array(flat, dtype=np.uint8).T
+        got = mds(bulk_ops(gf), [cols[0:3], cols[3:6], cols[6:9]])
+        assert got.tolist() == want and any(want)
+        nowhere_zero = [all(map(all, A.rows)) for A in matrices]
+        assert not all(nowhere_zero)
+        assert any(A.det() == 0 and nz for A, nz in zip(matrices, nowhere_zero))
 
 
 def test_mds_invariance(gf4, permuted):
