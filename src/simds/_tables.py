@@ -4,7 +4,10 @@
 tables (built by `GF` for q <= TABLE_MAX_Q) as read-only uint8 arrays.
 `bulk_ops` wraps them as the field's arithmetic over arrays, under
 `GF`'s own method names, so a kernel written over one field argument
-`f` runs on ints with f = gf and on arrays with f = bulk_ops(gf).
+`f` runs on ints with f = gf and on arrays with f = bulk_ops(gf).  Both
+bulk field arguments add `nonzero(*values)`, whether every value is
+non-zero: a bool mask from `bulk_ops`, packed lane words from
+`plane_ops`, over the values' broadcast shape either way.
 mul(a, b) reads the product table raveled, at index a q + b, built by a
 multiply, not a shift, because numpy vectorises uint8 `*` but not uint8
 `<<`, and as a new array, not in place in the scaled copy of `a`, so
@@ -87,7 +90,8 @@ def bulk_ops(gf: GF) -> SimpleNamespace:
     """The field's mul, inv, add and sub over arrays of elements: mul
     and inv by lookup in `mul_table` and `inv_table`, add and sub as
     XOR.  Results are uint8; the operands of mul, add and sub
-    broadcast."""
+    broadcast.  nonzero(*values) is the bool mask of where every value
+    is non-zero, over the values' broadcast shape."""
     flat = mul_table(gf).ravel()
     if gf.q <= 16:
         q = np.uint8(gf.q)
@@ -103,8 +107,15 @@ def bulk_ops(gf: GF) -> SimpleNamespace:
 
         def mul(a, b):
             return flat.take(np.asarray(a, np.uint16) * q + b)
+
+    def nonzero(*values):
+        mask = np.ones(np.broadcast_shapes(*(np.shape(v) for v in values)), dtype=bool)
+        for v in values:
+            mask &= v != 0
+        return mask
+
     return SimpleNamespace(mul=mul, inv=inv_table(gf).take,
-                           add=operator.xor, sub=operator.xor)
+                           add=operator.xor, sub=operator.xor, nonzero=nonzero)
 
 
 def _linear_map(reads: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -135,7 +146,9 @@ def plane_ops(gf: GF) -> SimpleNamespace:
     """The field's mul, inv, add and sub over bit-sliced elements, with
     `pack` and `spread` to make them from uint8 elements.  Results are
     uint64 planes; the operands of mul, add and sub broadcast when they
-    have as many axes.
+    have as many axes.  nonzero(*values) is packed words, one plane,
+    whose lane bits are set where every value is non-zero, an element
+    being non-zero where the OR of its planes is set.
 
     mul(a, b) is the XOR over j < m of a x^j ANDed with b's plane j.
     a x, ..., a x^(m-1) come from one linear map of a's planes, whose
@@ -186,8 +199,14 @@ def plane_ops(gf: GF) -> SimpleNamespace:
         planes = values >> bits.reshape(-1, *[1] * values.ndim) & 1
         return -planes.astype(np.uint64)
 
+    def nonzero(*values):
+        mask = np.bitwise_or.reduce(values[0], axis=0)
+        for v in values[1:]:
+            mask = mask & np.bitwise_or.reduce(v, axis=0)
+        return mask
+
     return SimpleNamespace(mul=mul, inv=inv, add=operator.xor, sub=operator.xor,
-                           pack=pack, spread=spread)
+                           nonzero=nonzero, pack=pack, spread=spread)
 
 
 def _digits(start: int, stop: int, ndigits: int, base: int) -> list[np.ndarray]:

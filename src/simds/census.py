@@ -50,8 +50,12 @@ with an independent brute-force verifier at desk scale:
   6-tuple and x, a23 and a32 over the 6-tuple and y), and only a13,
   a31 and what reads them span all (q-1)^2 64 W 8-tuples of the block.
   Each check's failures are a mask of packed words, whose set bits are
-  counted; the minors are formed one at a time after the three that
-  the determinant reads, each ANDed into the MDS mask at once.
+  counted.
+
+The MDS test of a batch, the determinant and the nine 2x2 minors all
+non-zero, is one kernel, `_det_and_mds`, over either field argument:
+the INV_MDS scan's last stage, the enumeration's bulk verification and
+the sweep all read it.
 
 Every path but the sweep stops at q = 16; the sweep stops at q = 8.
 Every path but the sweep runs on numpy lookup tables, in fixed-size
@@ -83,7 +87,7 @@ from ._tables import _CHUNK, _digits, bulk_ops, nonzero_grid, plane_ops
 from .construct import construction_entries, decisive_sums, det_and_ada
 from .errors import BudgetError, InternalMismatchError
 from .field import GF
-from .matrix import det3, dot, mds, minor, minors
+from .matrix import det3, dot, mds, minor
 from .si import (nowhere_zero_si, oracle_hits, product_det_terms,
                  triangle_products_agree)
 
@@ -94,7 +98,7 @@ _SCAN_SPANS = 8
 
 # Packed words of 6-tuples per block of the parameter sweep: at q = 8,
 # 104 words (6,656 6-tuples, 18 blocks) keep the traced peak under 2 MB
-# (1.80 MB), with at most three minors alive at once, and each
+# (1.80 MB), with `_det_and_mds` holding at most three minors, and each
 # (m, q-1, q-1, W) uint64 array, 122,304 bytes, under glibc's 128 KiB
 # mmap threshold, which holds for W <= 111, so that it comes from the
 # heap rather than from fresh zeroed pages.
@@ -182,7 +186,7 @@ def _tuple_set_masks(f, cols, subset: str) -> np.ndarray:
     cols[5]) lies in the named set.  `cols` is read by index only, so a
     scan's dict of columns keyed by position serves as a list does."""
     a11, a22, a33 = cols[0], cols[1], cols[2]
-    mask = _nonzero(*decisive_sums(f, *(cols[k] for k in range(6))))
+    mask = f.nonzero(*decisive_sums(f, *(cols[k] for k in range(6))))
     if subset == "S":
         return mask
     if subset == "S1":
@@ -219,19 +223,23 @@ def _distinct_diag_inner_formula(q: int, a11: int, a22: int, a33: int) -> int:
 #
 # Entry k of a 3x3 matrix is a_{i+1, j+1} with k = 3 i + j.
 
-def _nonzero(*values) -> np.ndarray:
-    """Whether every value is non-zero, over the broadcast shape of the
-    values."""
-    mask = np.ones(np.broadcast_shapes(*(np.shape(v) for v in values)), dtype=bool)
-    for v in values:
-        mask &= v != 0
-    return mask
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _mds_mask(f, e) -> np.ndarray:
-    """Every 2x2 minor and the determinant are non-zero."""
-    m = minors(f, e)
-    return _nonzero(det3(f, e, m[6:]), *m)
+def _det_and_mds(f, e) -> tuple:
+    """The determinant of the 3x3 matrices `e` and `f.nonzero`'s mask of
+    where it and all nine 2x2 minors are non-zero, MDS but for the
+    entries.  The three minors on rows (1, 2) make the determinant and
+    are then dropped, and each other minor is ANDed into the mask as
+    soon as it is formed, so no more than three minors are alive at
+    once."""
+    row12 = [minor(f, e, (1, 2), cols) for cols in _PAIRS]
+    det = det3(f, e, row12)
+    ok = f.nonzero(det, *row12)
+    del row12
+    for rows, cols in product(_PAIRS[:2], _PAIRS):
+        ok &= f.nonzero(minor(f, e, rows, cols))
+    return det, ok
 
 
 def _product_entry(f, a, b, i: int, j: int) -> np.ndarray:
@@ -243,13 +251,13 @@ def _product_entry(f, a, b, i: int, j: int) -> np.ndarray:
 
 def _mds_on_a33(f, e, m12_01) -> np.ndarray:
     """The determinant and the four 2x2 minors that read a33: the parts
-    of `_mds_mask` that no SI_MDS test before the a33 solve checks.  The
+    of `_det_and_mds` that no SI_MDS test before the a33 solve checks.  The
     determinant expands along row 0 with two of those minors and
     `m12_01`, minor((1,2),(0,1)), which reads no a33 and is formed once,
     before the solve."""
     pairs = ((0, 2), (1, 2))
     m = [minor(f, e, rows, cols) for rows in pairs for cols in pairs]
-    return _nonzero(det3(f, e, (m12_01, m[2], m[3])), *m)
+    return f.nonzero(det3(f, e, (m12_01, m[2], m[3])), *m)
 
 
 def _solved(f, want, rest, coeff) -> np.ndarray:
@@ -279,7 +287,7 @@ def _si_mds_last(f, e) -> np.ndarray:
     are non-zero, and so is the solved a33, which passes
     `_mds_on_a33`."""
     m12_01 = minor(f, e, (1, 2), (0, 1))
-    ok = _nonzero(minor(f, e, (0, 1), (1, 2)), m12_01, minor(f, e, (0, 1), (0, 1)))
+    ok = f.nonzero(minor(f, e, (0, 1), (1, 2)), m12_01, minor(f, e, (0, 1), (0, 1)))
     e = {**e, 8: _si_a33(f, e, ok)}
     return ok & (e[8] != 0) & _mds_on_a33(f, e, m12_01)
 
@@ -293,12 +301,12 @@ def _inv_mds_last(f, e) -> np.ndarray:
     is affine in the entry, which is solved as (want - rest) / coeff,
     rest being the cell with the entry 0, and must be non-zero (a zero
     a31 makes a23 0).  The other five cells hold, and so does
-    `_mds_mask`."""
+    `_det_and_mds`."""
     for pos, (i, j), coeff in _INV_SOLVES:
         without = {**e, pos: 0}
         rest = _product_entry(f, without, without, i, j)
         e = {**e, pos: _solved(f, int(i == j), rest, e[coeff])}
-    ok = _nonzero(e[5], e[6], e[7], e[8]) & _mds_mask(f, e)
+    ok = f.nonzero(e[5], e[6], e[7], e[8]) & _det_and_mds(f, e)[1]
     for i, j in ((1, 1), (1, 2), (2, 0), (2, 1), (2, 2)):
         ok &= _product_entry(f, e, e, i, j) == int(i == j)
     return ok
@@ -329,8 +337,8 @@ _STAGES = {
        for name in _TUPLE_SETS},
     "SI_MDS": (
         ((1, 2, 3, 5, 6, 7), (triangle_products_agree,)),
-        ((0,), (lambda f, e: _nonzero(minor(f, e, (0, 1), (0, 2)),
-                                      minor(f, e, (0, 2), (0, 1))),)),
+        ((0,), (lambda f, e: f.nonzero(minor(f, e, (0, 1), (0, 2)),
+                                       minor(f, e, (0, 2), (0, 1))),)),
         ((4,), (_si_mds_last,)),
     ),
     "INV_MDS": (
@@ -512,6 +520,16 @@ class EnumerationStats:
         return None
 
 
+def _require_all(ok: np.ndarray, e: list, failed: str) -> None:
+    """Raise InternalMismatchError unless every matrix of the entry
+    columns `e` passes, by the mask `ok`, naming how many `failed` and
+    the first, as rows."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        first = [[int(e[3 * r + c][i]) for c in range(3)] for r in range(3)]
+        raise InternalMismatchError(f"{len(ok) - int(ok.sum())} {failed}, first {first}")
+
+
 def _verify_built(gf: GF, f, groups: list, picked: list) -> None:
     """Verify the distinct matrices of `groups`, each ((a11, a22), keys,
     tuple count) as `_parametrized_groups` yields it, and the spot-check
@@ -519,13 +537,13 @@ def _verify_built(gf: GF, f, groups: list, picked: list) -> None:
     InternalMismatchError on any failure.
 
     The keys are unpacked, with each group's a11 and a22 added back, and
-    judged semi-involutory (by the entry-level test) and MDS in bulk, in
-    blocks of `_CHUNK` matrices.  The spot checks are judged together,
-    in one call each, by the literal diagonal search of
-    `si.oracle_hits`, which finds no diagonal for a singular matrix, and
-    by `matrix.mds`, which forms every minor from the entries and shares
-    nothing with `_mds_mask`; the error names how many failed and the
-    first."""
+    judged semi-involutory (by the entry-level test) and MDS (by
+    `_det_and_mds`) in bulk, in blocks of `_CHUNK` matrices.  The spot
+    checks are judged together, in one call each, by the literal
+    diagonal search of `si.oracle_hits`, which finds no diagonal for a
+    singular matrix, and by `matrix.mds`, which forms every minor from
+    the entries and shares nothing with `_det_and_mds`.  Either error
+    names how many matrices failed and the first."""
     keys = np.concatenate([np.empty(0, np.uint32)] + [k for _, k, _ in groups])
     sizes = [len(k) for _, k, _ in groups]
     fixed = [np.repeat(np.array([g[i] for g, _, _ in groups], np.uint8), sizes)
@@ -534,18 +552,13 @@ def _verify_built(gf: GF, f, groups: list, picked: list) -> None:
         d = _unpack_keys(keys[lo:lo + _CHUNK], gf.m, 7)
         d[0:0] = [fixed[0][lo:lo + _CHUNK]]
         d[4:4] = [fixed[1][lo:lo + _CHUNK]]
-        ok = _nonzero(*d) & nowhere_zero_si(f, d) & _mds_mask(f, d)
-        if not ok.all():
-            raise InternalMismatchError(
-                f"{len(ok) - int(ok.sum())} enumerated matrices failed "
-                f"bulk verification")
+        ok = f.nonzero(*d) & nowhere_zero_si(f, d) & _det_and_mds(f, d)[1]
+        _require_all(ok, d, "enumerated matrices failed bulk verification")
     picked = [np.concatenate([np.empty(0, np.uint8)] + col) for col in picked]
     rows = [picked[0:3], picked[3:6], picked[6:9]]
     ok = oracle_hits(gf, picked).any(axis=1) & mds(f, rows)
-    if not ok.all():
-        first = [[int(v[~ok][0]) for v in row] for row in rows]
-        raise InternalMismatchError(f"{len(ok) - int(ok.sum())} of {len(ok)} spot-checked "
-                                    f"matrices failed the oracle or MDS test, first {first}")
+    _require_all(ok, picked, f"of {len(ok)} spot-checked matrices failed the oracle "
+                             f"or MDS test")
 
 
 def _parametrized_groups(gf: GF):
@@ -647,16 +660,6 @@ class SweepResult:
                     or self.det_formula_failures or self.zero_pattern_failures)
 
 
-def _lanes_nonzero(*values) -> np.ndarray:
-    """Packed words whose lane bits are set where every bit-sliced value
-    is non-zero, the OR of its planes, over the values' broadcast
-    shape."""
-    mask = np.bitwise_or.reduce(values[0], axis=0)
-    for v in values[1:]:
-        mask = mask & np.bitwise_or.reduce(v, axis=0)
-    return mask
-
-
 def _set_lanes(words: np.ndarray, full: tuple) -> int:
     """The set bits of `words` broadcast to the shape `full`, counted on
     the bytes of `words` alone, since broadcasting repeats each of them
@@ -681,21 +684,19 @@ def _sweep_worker(args) -> tuple:
     are (m, q-1, 1, W), a23 and a32 (m, 1, q-1, W), and so are the
     minors and A D A terms built from them alone; only a13, a31 and what
     reads them span the full (m, q-1, q-1, W).  A check's mask is
-    packed words with a lane's bit set where the check fails, "non-zero"
-    being the OR of an element's planes.  Its lanes past the block's
-    last 6-tuple are cleared, and each counter counts its set bits as
-    if broadcast to (q-1, q-1, W), so it counts every 8-tuple whatever
-    axes the mask reads.  Seven of the nine minors span the full shape,
-    so no more than three are alive at once: the three on rows (1, 2)
-    make the determinant and are then dropped, and each other minor is
-    ANDed into the MDS mask as soon as it is formed."""
+    packed words with a lane's bit set where the check fails, by
+    `f.nonzero`.  Its lanes past the block's last 6-tuple are cleared,
+    and each counter counts its set bits as if broadcast to
+    (q-1, q-1, W), so it counts every 8-tuple whatever axes the mask
+    reads.  Seven of the nine minors span the full shape; the
+    determinant and the MDS mask come from `_det_and_mds`, which holds
+    no more than three of them at once."""
     gf, lo, hi = args
     f = plane_ops(gf)
     base = gf.q - 1
     (g,) = nonzero_grid(gf.q, 1)
     x, y = f.spread(g[:, None, None]), f.spread(g[None, :, None])
     step = 64 * _SWEEP_WORDS
-    pairs = ((0, 1), (0, 2), (1, 2))
     bad = [0] * 4
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
@@ -708,20 +709,16 @@ def _sweep_worker(args) -> tuple:
         e = construction_entries(f, sums, *six, x, y)
         # ADA = diag(s^2/d_i) identically; non-singular exactly when s != 0
         want_det, want_ada = det_and_ada(f, s, *d)
-        row12 = [minor(f, e, (1, 2), cols) for cols in pairs]
-        det = det3(f, e, row12)
-        det_bad = _lanes_nonzero(det ^ want_det)
-        mds = _lanes_nonzero(det, *row12)
-        del row12, det
-        for rows, cols in product(pairs[:2], pairs):
-            mds &= _lanes_nonzero(minor(f, e, rows, cols))
-        mds_bad = mds ^ _lanes_nonzero(*sums)
-        zero_bad = _lanes_nonzero(*e) ^ _lanes_nonzero(s12, s13, s23)
+        det, mds = _det_and_mds(f, e)
+        det_bad = f.nonzero(det ^ want_det)
+        del det
+        mds_bad = mds ^ f.nonzero(*sums)
+        zero_bad = f.nonzero(*e) ^ f.nonzero(s12, s13, s23)
         da = [f.mul(d[k], e[3 * k + j]) for k in range(3) for j in range(3)]
         ada_bad = np.zeros(full, dtype=np.uint64)
         for i, j in product(range(3), repeat=2):
             got = _product_entry(f, e, da, i, j)
-            ada_bad |= _lanes_nonzero(got ^ want_ada[i] if i == j else got)
+            ada_bad |= f.nonzero(got ^ want_ada[i] if i == j else got)
         for k, mask in enumerate((mds_bad, ada_bad, det_bad, zero_bad)):
             bad[k] += _set_lanes(mask & live, full)
     return tuple(int(n) for n in bad)

@@ -156,8 +156,8 @@ def minor_formulas(p: SiParams) -> tuple:
     """The nine 2x2 minors of the constructed matrix in closed form.
 
     Order: row pairs {0,1}, {0,2}, {1,2} outermost, column pairs
-    {0,1}, {0,2}, {1,2} within each, the order of `matrix.minors`
-    and of the 2x2 minors `matrix.mds` examines.
+    {0,1}, {0,2}, {1,2} within each, the order of the 2x2 minors
+    `matrix.mds` examines.
 
     Requires all four sums non-zero; b = s (the square root of s^2 in
     characteristic 2) appears as a factor in every minor.

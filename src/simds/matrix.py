@@ -180,9 +180,6 @@ class Diagonal:
 
 # The 3x3 forms take the entries row by row: a_{i+1, j+1} = e[3 i + j].
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
 def det2(f, a, b, c, d):
     """a d - b c, the determinant of [[a, b], [c, d]]."""
     return f.sub(f.mul(a, d), f.mul(b, c))
@@ -194,16 +191,10 @@ def minor(f, e, rows, cols):
     return det2(f, e[3 * r0 + c0], e[3 * r0 + c1], e[3 * r1 + c0], e[3 * r1 + c1])
 
 
-def minors(f, e) -> list:
-    """The nine 2x2 minors of a 3x3 matrix, row pairs outermost (the
-    order of `construct.minor_formulas`)."""
-    return [minor(f, e, rows, cols) for rows in _PAIRS for cols in _PAIRS]
-
-
 def det3(f, e, row12=None):
     """The determinant of a 3x3 matrix by cofactor expansion along row 0.
     `row12` holds the minors on rows (1, 2) and columns (0, 1), (0, 2),
-    (1, 2), when the caller has them (the last three of `minors`)."""
+    (1, 2), when the caller has them (as `census._det_and_mds` does)."""
     if row12 is None:
         row12 = (det2(f, e[3], e[4], e[6], e[7]), det2(f, e[3], e[5], e[6], e[8]),
                  det2(f, e[4], e[5], e[7], e[8]))

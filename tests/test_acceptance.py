@@ -19,7 +19,7 @@ from simds import (GF, Diagonal, Matrix, SiParams,
                    minor_formulas, predicted_invariants, si_check_3x3,
                    si_oracle, sum_conditions, sweep_parameter_space)
 from simds._tables import _digits, bulk_ops
-from simds.census import _mds_mask
+from simds.census import _det_and_mds
 from simds.matrix import det3
 from simds.si import nowhere_zero_si, oracle_hits
 
@@ -209,7 +209,7 @@ def _si_and_mds_counts_gf8(gf):
         e = _digits(start, stop, 9, gf.q - 1)
         si = nowhere_zero_si(f, e) & (det3(f, e) != 0)
         n_si += int(si.sum())
-        n_si_mds += int((si & _mds_mask(f, e)).sum())
+        n_si_mds += int((si & _det_and_mds(f, e)[1]).sum())
     return n_si, n_si_mds
 
 

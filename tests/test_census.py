@@ -1,3 +1,4 @@
+import ast
 import itertools
 import tracemalloc
 
@@ -10,8 +11,8 @@ from simds import (GF, BudgetError, InternalMismatchError, Matrix, brute_force_S
                    sweep_parameter_space)
 from simds import census
 from simds._tables import _digits, bulk_ops, mul_table, nonzero_grid, plane_ops
-from simds.census import (CSV_HEADER, SET_NAMES, _mds_mask, _nonzero,
-                          _pack_keys, _unpack_keys)
+from simds.census import (CSV_HEADER, SET_NAMES, _det_and_mds, _pack_keys,
+                          _unpack_keys)
 from simds.construct import construction_entries, decisive_sums
 from simds.matrix import minor
 from simds.si import oracle_hits, product_det, product_det_terms, si_check_3x3
@@ -324,7 +325,7 @@ def _survivors(gf, target):
     stages = census._STAGES[target]
     for entries, tests in stages[:-1]:
         e = census._cross(f, tests, e, dict(zip(entries, nonzero_grid(gf.q, len(entries)))))
-    a22_minors = lambda f, e: _nonzero(*(minor(f, e, *p) for p in _A22_MINORS))
+    a22_minors = lambda f, e: f.nonzero(*(minor(f, e, *p) for p in _A22_MINORS))
     tests = (a22_minors,) if target == "SI_MDS" else ()
     return f, census._cross(f, tests, e, {4: nonzero_grid(gf.q, 1)[0]})
 
@@ -419,7 +420,7 @@ def test_scan_tests_every_mds_minor(gf8, gf8b, monkeypatch):
     between them, the tests before the a33 solve the five that do not
     read a33, and none is formed both before and after the solve: the
     determinant takes minor((1,2),(0,1)) from the a22 minors.  At
-    q = 8, on both moduli, the scan counts as with the full `_mds_mask`
+    q = 8, on both moduli, the scan counts as with the full `_det_and_mds`
     on the solved a33 in its last stage."""
     calls = {}
     seen_det = []
@@ -449,7 +450,7 @@ def test_scan_tests_every_mds_minor(gf8, gf8b, monkeypatch):
         # const = a23 a32 a31^2 minor((0,1),(0,1)): non-zero where live
         live = minor(f, e, (0, 1), (0, 1)) != 0
         e = {**e, 8: census._si_a33(f, e, live)}
-        return live & (e[8] != 0) & _mds_mask(f, e)
+        return live & (e[8] != 0) & _det_and_mds(f, e)[1]
 
     stages = census._STAGES["SI_MDS"]
     monkeypatch.setitem(census._STAGES, "SI_MDS",
@@ -540,7 +541,7 @@ def _inv_mds_by_flat_scan(gf):
                   ^ mul[e[3 * i + 2], e[6 + j]])
             keep = np.flatnonzero(sq == (1 if i == j else 0))
             e = [col[keep] for col in e]
-        count += int(_mds_mask(bulk_ops(gf), e).sum())
+        count += int(_det_and_mds(bulk_ops(gf), e)[1].sum())
     return count
 
 
@@ -669,7 +670,7 @@ def built_keys_gf8b(gf8b):
     out = []
     for start in range(0, total, 1 << 18):
         cols = _digits(start, min(start + (1 << 18), total), 8, 7)
-        keep = np.flatnonzero(_nonzero(*decisive_sums(f, *cols[:6])))
+        keep = np.flatnonzero(f.nonzero(*decisive_sums(f, *cols[:6])))
         cols = [col[keep] for col in cols]
         e = construction_entries(f, decisive_sums(f, *cols[:6]), *cols)
         out.append(_pack_keys(e, gf8b.m))
@@ -922,9 +923,15 @@ def test_sweep_products_per_tuple(gf4, monkeypatch):
 
 
 def test_broken_construction_fails_bulk_verification(gf8b, monkeypatch):
+    """The bulk error names its first failing matrix, which the scalar
+    entry-level test and `Matrix.is_mds` reject."""
     monkeypatch.setattr(census, "construction_entries", _swap_a12_a13)
-    with pytest.raises(InternalMismatchError, match="bulk verification"):
+    row = r"\[\d+, \d+, \d+\]"
+    with pytest.raises(InternalMismatchError,
+                       match=rf"bulk verification, first \[{row}, {row}, {row}\]$") as err:
         enumeration_stats(gf8b)
+    first = Matrix(gf8b, ast.literal_eval(str(err.value).split("first ")[1]))
+    assert not (si_check_3x3(first).si and first.is_mds())
 
 
 def test_broken_construction_fails_scalar_spot_check(gf8b, monkeypatch):
@@ -935,7 +942,7 @@ def test_broken_construction_fails_scalar_spot_check(gf8b, monkeypatch):
 
     monkeypatch.setattr(census, "construction_entries", _swap_a12_a13)
     monkeypatch.setattr(census, "nowhere_zero_si", blind)
-    monkeypatch.setattr(census, "_mds_mask", blind)
+    monkeypatch.setattr(census, "_det_and_mds", lambda f, e: (None, blind(f, e)))
     with pytest.raises(InternalMismatchError, match="spot-checked matrices failed"):
         enumeration_stats(gf8b)
 

@@ -270,9 +270,11 @@ def test_plane_ops_match_tables(m, poly):
     """`plane_ops` gives `mul_table` on all q^2 pairs, packed 64 to a
     word or one operand spread one word per element, and `inv_table` on
     every element, 0 included, under every modulus of degree 2, 3 and
-    4.  A multiply built from another modulus of the same degree still
-    makes a field, so the sweep would come out clean with it; this test
-    ties the multiply to gf's own."""
+    4; its `nonzero` lanes equal `bulk_ops`' mask on the same elements,
+    one or two at a time, and the padding lanes past q stay clear.  A
+    multiply built from another modulus of the same degree still makes a
+    field, so the sweep would come out clean with it; this test ties the
+    multiply to gf's own."""
     gf = GF(2, m, poly)
     q = gf.q
     f = plane_ops(gf)
@@ -288,6 +290,12 @@ def test_plane_ops_match_tables(m, poly):
     grid = f.mul(rows, f.pack(a)[:, None, :])
     assert _plane_values(grid, q).tolist() == mul_table(gf).tolist()
     assert _plane_values(f.inv(f.pack(a)), q).tolist() == inv_table(gf).tolist()
+    b = np.roll(a, 1)
+    for values in ((a,), (a, b)):
+        words = f.nonzero(*map(f.pack, values))
+        lanes = np.unpackbits(words.view(np.uint8), bitorder="little")
+        assert lanes[:q].tolist() == bulk_ops(gf).nonzero(*values).tolist()
+        assert not lanes[q:].any()
 
 
 @pytest.mark.parametrize("m, poly", [(2, 0b111), (3, 0b1011), (4, 0b10011),

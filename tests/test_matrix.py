@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from simds import GF, BudgetError, Diagonal, Matrix
-from simds._tables import bulk_ops
+from simds._tables import bulk_ops, plane_ops
+from simds.census import _det_and_mds
 from simds.matrix import mds
 
 
@@ -265,7 +266,10 @@ def test_mds_over_arrays_matches_is_mds(gf4, gf8, gf16a):
     """`mds` over arrays judges a batch as `Matrix.is_mds` judges each
     matrix: all 4^9 matrices over GF(4) in one call, and seeded GF(8)
     and GF(16) batches of matrices with zero entries, nowhere-zero ones
-    and singular rank-one ones u v^T."""
+    and singular rank-one ones u v^T.  So does the census's bulk kernel
+    `_det_and_mds`, with the entries' `nonzero` ANDed in, over
+    `bulk_ops` and over the packed planes of `plane_ops`, and its det
+    equals `Matrix.det`."""
     e = np.indices((4,) * 9, dtype=np.uint8).reshape(9, -1)
     batches = [(gf4, e.T.tolist())]
     rng = random.Random(71)
@@ -282,6 +286,19 @@ def test_mds_over_arrays_matches_is_mds(gf4, gf8, gf16a):
         cols = np.array(flat, dtype=np.uint8).T
         got = mds(bulk_ops(gf), [cols[0:3], cols[3:6], cols[6:9]])
         assert got.tolist() == want and any(want)
+        dets = [A.det() for A in matrices]
+        f = bulk_ops(gf)
+        det, ok = _det_and_mds(f, cols)
+        assert (ok & f.nonzero(*cols)).tolist() == want
+        assert det.tolist() == dets
+        f = plane_ops(gf)
+        packed = [f.pack(col) for col in cols]
+        det, ok = _det_and_mds(f, packed)
+        ok &= f.nonzero(*packed)
+        lanes = np.unpackbits(ok.view(np.uint8), bitorder="little")
+        assert lanes[:len(flat)].tolist() == want and not lanes[len(flat):].any()
+        bits = np.unpackbits(det.view(np.uint8), axis=1, bitorder="little")
+        assert sum(bits[k, :len(flat)] << k for k in range(gf.m)).tolist() == dets
         nowhere_zero = [all(map(all, A.rows)) for A in matrices]
         assert not all(nowhere_zero)
         assert any(A.det() == 0 and nz for A, nz in zip(matrices, nowhere_zero))
